@@ -8,7 +8,6 @@ including externally produced ones loaded from the band JSON format.
 
 from .core import (
     Domain,
-    RngStream,
     SCBand,
     assemble_band,
     band_from_json,
@@ -66,7 +65,7 @@ from .simulate import CoverageReport, SimDesign, generate, run_coverage
 __version__ = "0.1.0"
 
 __all__ = [
-    "Domain", "SCBand", "RngStream", "substream", "empirical_quantile",
+    "Domain", "SCBand", "substream", "empirical_quantile",
     "assemble_band", "max_abs_standardized", "band_to_json", "band_from_json",
     "ThresholdSpec", "RegionSet", "ContainmentSummary", "invert_upper",
     "invert_lower", "invert_interval", "invert_two_sided", "invert_levels",

@@ -9,7 +9,6 @@ constructor other code should use.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +16,6 @@ import numpy as np
 __all__ = [
     "Domain",
     "SCBand",
-    "RngStream",
     "substream",
     "empirical_quantile",
     "assemble_band",
@@ -38,17 +36,6 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     serial and parallel execution agree.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
-
-
-@dataclass(frozen=True)
-class RngStream:
-    """A (seed, stream_id) pair identifying one reproducible random stream."""
-
-    seed: int
-    stream_id: int = 0
-
-    def generator(self) -> np.random.Generator:
-        return substream(self.seed, self.stream_id)
 
 
 @dataclass(frozen=True)
@@ -186,11 +173,6 @@ class SCBand:
                              "derived from (eta_hat, se, q_alpha, tau)")
         if np.any(self.scb_low[m] > self.eta_hat[m]) or np.any(self.eta_hat[m] > self.scb_up[m]):
             raise ValueError("band does not bracket eta_hat")
-
-    def with_domain(self, domain: Domain) -> "SCBand":
-        band = dataclasses.replace(self, domain=domain)
-        band.validate()
-        return band
 
 
 def _logit(p):

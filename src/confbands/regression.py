@@ -7,6 +7,15 @@ replicate's own standard error; the band half-width is the empirical
 (1 - alpha)-quantile of the per-replicate maxima times the original fit's
 standard error. Logistic mean-outcome bands are built on the linear-predictor
 scale and mapped through the inverse link.
+
+Resampling rows is the same as weighting the original rows by multinomial
+counts, so replicate b is a count-weighted refit on the original design with
+weights ``bincount(idx_b, minlength=n)``, where ``idx_b`` is drawn from the
+keyed substream ``(seed, b, attempt)``. The point fits are the same weighted
+kernels with unit weights, so there is one least-squares and one IRLS solver.
+Replicates are refit in chunks whose size follows from the fixed memory
+budget ``_CHUNK_BYTES``; each replicate is reduced and solved on its own, so
+the chunk size never changes a result.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import Domain, SCBand, assemble_band, empirical_quantile, substream
+from .core import Domain, SCBand, _expit, assemble_band, empirical_quantile, substream
 
 __all__ = [
     "Table",
@@ -272,54 +281,26 @@ def fit_ols(table: Table, spec: ModelSpec) -> FittedGLM:
     if n <= p:
         raise ValueError(f"need more rows ({n}) than design columns ({p})")
     _check_rank(X, names)
-    beta, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ beta
-    sigma2 = float(resid @ resid) / (n - p)
-    cov = sigma2 * np.linalg.inv(X.T @ X)
-    return FittedGLM("gaussian", beta, cov, tuple(names), spec, sigma2=sigma2)
-
-
-def _expit(x):
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
-def _irls(X, y, max_iter, tol):
-    """Newton/IRLS for the logistic log-likelihood from beta = 0.
-
-    Returns (beta, cov) or raises; convergence is max |X'(y - p)| < tol.
-    """
-    n, p = X.shape
-    beta = np.zeros(p)
-    for _ in range(max_iter):
-        prob = _expit(X @ beta)
-        score = X.T @ (y - prob)
-        if np.max(np.abs(score)) < tol:
-            w = prob * (1.0 - prob)
-            info = (X * w[:, None]).T @ X
-            return beta, np.linalg.inv(info)
-        w = np.maximum(prob * (1.0 - prob), 1e-12)
-        info = (X * w[:, None]).T @ X
-        beta = beta + np.linalg.solve(info, score)
-        if np.linalg.norm(beta) > SEPARATION_NORM:
-            raise ValueError("quasi-separation")
-    raise ValueError("IRLS failed")
+    beta, cov, ok, sigma2 = _ols_refit(X, y, np.ones((1, n)))
+    if not ok[0]:
+        raise ValueError("least squares failed: singular normal equations")
+    return FittedGLM("gaussian", beta[0], cov[0], tuple(names), spec, sigma2=float(sigma2[0]))
 
 
 def fit_logistic(table: Table, spec: ModelSpec, max_iter: int = 50, tol: float = 1e-8) -> FittedGLM:
-    """Logistic fit by IRLS; cov_beta = (X'WX)^-1 at convergence."""
+    """Logistic fit by IRLS from beta = 0; cov_beta = (X'WX)^-1 at
+    convergence, where convergence is max |X'(y - p)| < tol."""
     X, names, y = build_design(table, spec)
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise ValueError("logistic response must take values in {0, 1}")
     if table.n_rows <= X.shape[1]:
         raise ValueError("need more rows than design columns")
     _check_rank(X, names)
-    beta, cov = _irls(X, y, max_iter, tol)
-    return FittedGLM("binomial", beta, cov, tuple(names), spec)
+    beta, cov, ok = _irls_refit(X, y, np.ones((1, table.n_rows)), max_iter, tol)
+    if not ok[0]:
+        diverged = np.linalg.norm(beta[0]) > SEPARATION_NORM
+        raise ValueError("quasi-separation" if diverged else "IRLS failed")
+    return FittedGLM("binomial", beta[0], cov[0], tuple(names), spec)
 
 
 def _grid_design(fit: FittedGLM, grid: Table) -> np.ndarray:
@@ -350,88 +331,104 @@ def predict_mean(fit: FittedGLM, grid: Table) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Bootstrap internals (batched refits; one RNG substream per replicate)
+# Count-weighted refits: row b of C holds the weight of each original row in
+# refit b (unit weights for a point fit, multinomial counts for a bootstrap
+# replicate).
 # ---------------------------------------------------------------------------
 
+# Bytes of one (chunk, n) or (chunk, grid, p) float64 work array in the
+# bootstrap; it holds a handful of these, so this bounds its memory whatever
+# n, the grid size and n_boot are.
+_CHUNK_BYTES = 8 * 2**20
 
-def _ols_refit_batch(X, y, idx):
-    """OLS on each resampled row set. Returns (beta, sigma2, ok)."""
-    B = idx.shape[0]
-    n, p = X.shape
-    Xb = X[idx]  # (B, n, p)
-    yb = y[idx]
-    XtX = np.einsum("bnp,bnq->bpq", Xb, Xb)
-    Xty = np.einsum("bnp,bn->bp", Xb, yb)
-    beta = np.full((B, p), np.nan)
-    ok = np.ones(B, dtype=bool)
+
+def _rowwise(W, M):
+    """Row b of the result is W[b] @ M.
+
+    One BLAS call per row: a single (B, n) @ (n, k) product lets BLAS pick
+    its kernel, and so its summation order, from B, and then a replicate's
+    result would depend on how many replicates share its chunk.
+    """
+    return np.matmul(W[:, None, :], M)[:, 0]
+
+
+def _weighted_gram(X, W):
+    """X' diag(W[b]) X for every row b of W, shape (B, p, p)."""
+    p = X.shape[1]
+    outer = (X[:, :, None] * X[:, None, :]).reshape(-1, p * p)
+    return _rowwise(W, outer).reshape(-1, p, p)
+
+
+def _each(op, A, *rest):
+    """A batched ``np.linalg`` op that flags singular members instead of
+    raising: returns (result, ok) with NaN where ok is False."""
     try:
-        beta = np.linalg.solve(XtX, Xty[..., None])[..., 0]
+        return op(A, *rest), np.ones(len(A), dtype=bool)
     except np.linalg.LinAlgError:
-        for b in range(B):
-            try:
-                beta[b] = np.linalg.solve(XtX[b], Xty[b])
-            except np.linalg.LinAlgError:
-                ok[b] = False
-    resid = yb - np.einsum("bnp,bp->bn", Xb, beta)
-    sigma2 = np.einsum("bn,bn->b", resid, resid) / (n - p)
-    ok &= np.all(np.isfinite(beta), axis=1)
-    return beta, sigma2, XtX, ok
+        pass
+    out = np.full((rest[0] if rest else A).shape, np.nan)
+    ok = np.ones(len(A), dtype=bool)
+    for b in range(len(A)):
+        try:
+            out[b] = op(A[b], *(r[b] for r in rest))
+        except np.linalg.LinAlgError:
+            ok[b] = False
+    return out, ok
 
 
-def _irls_refit_batch(X, y, idx, max_iter=50, tol=1e-8):
-    """Batched IRLS across replicates; failures (separation, singular
-    information, no convergence) are flagged, not raised."""
-    B = idx.shape[0]
+def _ols_refit(X, y, C):
+    """Weighted least squares per row of C. Returns (beta, cov, ok, sigma2)
+    with sigma2 = sum(c * resid^2) / (n - p)."""
     n, p = X.shape
-    Xb = X[idx]
-    yb = y[idx]
+    XtX = _weighted_gram(X, C)
+    beta, ok = _each(np.linalg.solve, XtX, _rowwise(C, X * y[:, None])[..., None])
+    beta = beta[..., 0]
+    resid = y - _rowwise(beta, X.T)
+    sigma2 = np.sum(C * resid**2, axis=1) / (n - p)
+    ok &= np.all(np.isfinite(beta), axis=1)
+    cov = np.full(XtX.shape, np.nan)
+    good = np.flatnonzero(ok)
+    if good.size:
+        inv, ok[good] = _each(np.linalg.inv, XtX[good])
+        cov[good] = inv * sigma2[good, None, None]
+    return beta, cov, ok, sigma2
+
+
+def _irls_refit(X, y, C, max_iter=50, tol=1e-8):
+    """Weighted logistic IRLS per row of C, all from beta = 0. Returns
+    (beta, cov, ok); failures (separation, singular information, no
+    convergence) are flagged, not raised."""
+    B = len(C)
+    p = X.shape[1]
     beta = np.zeros((B, p))
     ok = np.ones(B, dtype=bool)
     active = np.ones(B, dtype=bool)
     info = np.zeros((B, p, p))
     for _ in range(max_iter):
-        if not active.any():
+        act = np.flatnonzero(active)
+        if not act.size:
             break
-        eta = np.einsum("bnp,bp->bn", Xb[active], beta[active])
-        prob = _expit(eta)
-        score = np.einsum("bnp,bn->bp", Xb[active], yb[active] - prob)
+        c = C[act]
+        prob = _expit(_rowwise(beta[act], X.T))
+        score = _rowwise(c * (y - prob), X)
         conv = np.max(np.abs(score), axis=1) < tol
         w = np.maximum(prob * (1.0 - prob), 1e-12)
-        inf_act = np.einsum("bnp,bn,bnq->bpq", Xb[active], w, Xb[active])
-        idx_active = np.flatnonzero(active)
-        info[idx_active] = inf_act
-        still = idx_active[~conv]
-        active[idx_active[conv]] = False
-        if still.size == 0:
+        info[act] = _weighted_gram(X, c * w)
+        active[act[conv]] = False
+        still = act[~conv]
+        if not still.size:
             continue
-        try:
-            step = np.linalg.solve(inf_act[~conv], score[~conv][..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            step = np.full((still.size, p), np.nan)
-            for j, b in enumerate(still):
-                try:
-                    step[j] = np.linalg.solve(info[b], score[~conv][j])
-                except np.linalg.LinAlgError:
-                    pass
-        beta[still] += step
+        step, _ = _each(np.linalg.solve, info[still], score[~conv][..., None])
+        beta[still] += step[..., 0]
         bad = ~np.all(np.isfinite(beta[still]), axis=1)
         bad |= np.linalg.norm(beta[still], axis=1) > SEPARATION_NORM
-        if bad.any():
-            failed = still[bad]
-            ok[failed] = False
-            active[failed] = False
+        ok[still[bad]] = False
+        active[still[bad]] = False
     ok &= ~active  # replicates still active never converged
     cov = np.full((B, p, p), np.nan)
     good = np.flatnonzero(ok)
     if good.size:
-        try:
-            cov[good] = np.linalg.inv(info[good])
-        except np.linalg.LinAlgError:
-            for b in good:
-                try:
-                    cov[b] = np.linalg.inv(info[b])
-                except np.linalg.LinAlgError:
-                    ok[b] = False
+        cov[good], ok[good] = _each(np.linalg.inv, info[good])
     return beta, cov, ok
 
 
@@ -468,6 +465,7 @@ def _bootstrap_max_stats(X, y, family, stat_design, center, n_boot, seed):
     capped at 10 * n_boot attempts in total.
     """
     n = X.shape[0]
+    chunk = max(1, _CHUNK_BYTES // (8 * max(n, stat_design.size)))
     r_max = np.full(n_boot, np.nan)
     pending = np.arange(n_boot)
     attempt = np.zeros(n_boot, dtype=int)
@@ -478,43 +476,40 @@ def _bootstrap_max_stats(X, y, family, stat_design, center, n_boot, seed):
             raise RuntimeError(
                 "bootstrap exceeded the retry budget (10 * n_boot failed refits)"
             )
-        idx = np.empty((pending.size, n), dtype=np.intp)
-        for j, b in enumerate(pending):
-            rng = substream(seed, int(b), int(attempt[b]))
-            idx[j] = rng.integers(0, n, size=n)
-        if family == "gaussian":
-            beta, sigma2, XtX, ok = _ols_refit_batch(X, y, idx)
-            cov = np.full(XtX.shape, np.nan)
-            good = np.flatnonzero(ok)
-            if good.size:
-                try:
-                    cov[good] = np.linalg.inv(XtX[good]) * sigma2[good, None, None]
-                except np.linalg.LinAlgError:
-                    for b in good:
-                        try:
-                            cov[b] = np.linalg.inv(XtX[b]) * sigma2[b]
-                        except np.linalg.LinAlgError:
-                            ok[b] = False
-        else:
-            beta, cov, ok = _irls_refit_batch(X, y, idx)
-        stat = np.einsum("gp,bp->bg", stat_design, beta)
-        var = np.einsum("gp,bpq,gq->bg", stat_design, cov, stat_design)
-        se = np.sqrt(np.maximum(var, 0.0))
-        num = np.abs(stat - center[None, :])
-        zero = se == 0
-        # zero SE with zero numerator contributes 0; otherwise the replicate
-        # is degenerate and gets redrawn
-        degen = np.any(zero & (num > 0), axis=1)
-        ok &= ~degen & np.all(np.isfinite(se), axis=1)
-        ratio = np.zeros_like(num)
-        np.divide(num, se, out=ratio, where=~zero)
-        stats = ratio.max(axis=1)
-        done = np.flatnonzero(ok)
-        r_max[pending[done]] = stats[done]
-        failed = pending[~ok]
-        attempt[failed] += 1
-        pending = failed
+        failed = []
+        for start in range(0, pending.size, chunk):
+            part = pending[start:start + chunk]
+            C = np.empty((part.size, n))
+            for j, b in enumerate(part):
+                rng = substream(seed, int(b), int(attempt[b]))
+                C[j] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            stats, ok = _replicate_max_stats(X, y, family, C, stat_design, center)
+            r_max[part[ok]] = stats[ok]
+            failed.append(part[~ok])
+        pending = np.concatenate(failed)
+        attempt[pending] += 1
     return r_max
+
+
+def _replicate_max_stats(X, y, family, C, stat_design, center):
+    """Refit on the count weights C and studentize each replicate's
+    deviation from ``center`` by its own SE. Returns (max stats, ok)."""
+    if family == "gaussian":
+        beta, cov, ok, _ = _ols_refit(X, y, C)
+    else:
+        beta, cov, ok = _irls_refit(X, y, C)
+    stat = _rowwise(beta, stat_design.T)
+    var = np.sum(np.matmul(stat_design, cov) * stat_design, axis=2)
+    se = np.sqrt(np.maximum(var, 0.0))
+    num = np.abs(stat - center[None, :])
+    zero = se == 0
+    # zero SE with zero numerator contributes 0; otherwise the replicate
+    # is degenerate and gets redrawn
+    degen = np.any(zero & (num > 0), axis=1)
+    ok &= ~degen & np.all(np.isfinite(se), axis=1)
+    ratio = np.zeros_like(num)
+    np.divide(num, se, out=ratio, where=~zero)
+    return ratio.max(axis=1), ok
 
 
 def scb_mean_bootstrap(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functional, regression
-from .core import emit_json, substream
+from .core import _expit, emit_json, substream
 
 __all__ = ["SimDesign", "CoverageReport", "generate", "run_coverage"]
 
@@ -42,11 +42,6 @@ OUTCOME_GRID = np.linspace(-1.0, 1.0, 100)
 # Coefficient designs: M = 5 covariates, AR-type covariance rho^|i-j|.
 COEF_M = 5
 COEF_RHO = 0.4
-
-
-def _expit(x):
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
 
 def _cubic(x):

@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
 
+from confbands import regression
+from confbands.core import substream
 from confbands.regression import (
+    SEPARATION_NORM,
     FormulaError,
     Table,
     Term,
@@ -336,3 +341,114 @@ class TestBootstrapRedraw:
         b2 = scb_mean_bootstrap(t, parse_formula("y ~ x + z"), grid, n_boot=120, seed=6)
         assert b1.q_alpha == b2.q_alpha
         assert np.isfinite(b1.q_alpha)
+
+
+def redraw_prone_table(rng, binary=False):
+    """A covariate with two nonzero entries: many resamples drop both and
+    leave a rank-deficient refit."""
+    n = 25
+    x = rng.standard_normal(n)
+    z = np.zeros(n)
+    z[3], z[17] = 1.0, -1.0
+    y = x + z + rng.standard_normal(n)
+    return Table.from_arrays(x=x, z=z, y=(y > 0).astype(float) if binary else y)
+
+
+def gather_refit(family, X, y, idx, max_iter=50, tol=1e-8):
+    """Reference: an explicit refit on the resampled rows X[idx], y[idx].
+    Returns (beta, cov), or None when the refit fails."""
+    Xb, yb = X[idx], y[idx]
+    n, p = Xb.shape
+    try:
+        if family == "gaussian":
+            XtX = Xb.T @ Xb
+            beta = np.linalg.solve(XtX, Xb.T @ yb)
+            resid = yb - Xb @ beta
+            return beta, (resid @ resid) / (n - p) * np.linalg.inv(XtX)
+        beta = np.zeros(p)
+        for _ in range(max_iter):
+            prob = expit(Xb @ beta)
+            score = Xb.T @ (yb - prob)
+            info = (Xb * np.maximum(prob * (1.0 - prob), 1e-12)[:, None]).T @ Xb
+            if np.abs(score).max() < tol:
+                return beta, np.linalg.inv(info)
+            beta = beta + np.linalg.solve(info, score)
+            if not np.linalg.norm(beta) <= SEPARATION_NORM:
+                return None
+    except np.linalg.LinAlgError:
+        return None
+    return None
+
+
+class TestCountWeightedRefits:
+    """Bootstrap refits weight the original rows by their resampling counts
+    instead of gathering the resampled rows."""
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    @pytest.mark.parametrize("design", ["cubic", "redraw_prone"])
+    def test_counts_match_gather_oracle(self, rng, family, design):
+        binary = family == "binomial"
+        if design == "redraw_prone":
+            t = redraw_prone_table(rng, binary)
+            spec = parse_formula("y ~ x + z")
+        else:
+            x = rng.standard_normal(80)
+            mu = 0.3 + x - 0.4 * x**2
+            y = (rng.random(80) < expit(mu)).astype(float) if binary else mu + rng.standard_normal(80)
+            t = Table.from_arrays(x=x, y=y)
+            spec = parse_formula("y ~ x + I(x^2)")
+        X, _, y = build_design(t, spec)
+        n = len(y)
+        idx = np.stack([substream(11, b, 0).integers(0, n, size=n) for b in range(60)])
+        C = np.stack([np.bincount(i, minlength=n) for i in idx]).astype(float)
+        if family == "gaussian":
+            beta, cov, ok, _ = regression._ols_refit(X, y, C)
+        else:
+            beta, cov, ok = regression._irls_refit(X, y, C)
+        refs = [gather_refit(family, X, y, i) for i in idx]
+        np.testing.assert_array_equal(ok, [r is not None for r in refs])
+        assert ok.any()
+        if design == "redraw_prone":
+            assert not ok.all()
+        for b in np.flatnonzero(ok):
+            np.testing.assert_allclose(beta[b], refs[b][0], rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(cov[b], refs[b][1], rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_chunk_budget_does_not_change_results(self, rng, monkeypatch, family):
+        t = redraw_prone_table(rng, binary=family == "binomial")
+        spec = parse_formula("y ~ x + z")
+        grid = Table.from_arrays(x=np.linspace(-1, 1, 5), z=np.zeros(5))
+        n = t.n_rows
+
+        def bands():
+            return (
+                scb_mean_bootstrap(t, spec, grid, family=family, n_boot=150, seed=6),
+                scb_coef_bootstrap(t, spec, family=family, n_boot=150, seed=6),
+            )
+
+        results = []
+        for budget in (8 * n, 8 * n * 64):  # chunks of 1 and of 64 replicates
+            monkeypatch.setattr(regression, "_CHUNK_BYTES", budget)
+            results.append(bands())
+        for one, many in zip(*results):
+            assert one.q_alpha == many.q_alpha
+            np.testing.assert_array_equal(one.scb_low, many.scb_low)
+
+    def test_large_n_memory_is_bounded(self):
+        # gathering the resampled rows alone would take n_boot * n * p * 8
+        # bytes, about 640 MB here
+        rng = np.random.default_rng(3)
+        n = 200_000
+        x = rng.standard_normal((n, 3))
+        t = Table.from_arrays(a=x[:, 0], b=x[:, 1], c=x[:, 2],
+                              y=x @ [1.0, -0.5, 0.25] + rng.standard_normal(n))
+        grid = Table.from_arrays(a=np.linspace(-1, 1, 11), b=np.zeros(11), c=np.zeros(11))
+        tracemalloc.start()
+        try:
+            band = scb_mean_bootstrap(t, parse_formula("y ~ a + b + c"), grid, n_boot=100, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(band.q_alpha)
+        assert peak < 256 * 2**20
