@@ -125,27 +125,15 @@ def _load_spatial(header_path, mask_path=None):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_scb_linear(args):
+def _cmd_scb_mean(args):
     table = regression.Table.from_csv(args.data)
     spec = regression.parse_formula(args.model)
     grid = regression.Table.from_csv(args.grid)
     grid_boot = regression.Table.from_csv(args.grid_boot) if args.grid_boot else None
-    _progress(args, f"fitting linear model and bootstrapping ({args.nboot} draws)")
+    _progress(args, f"fitting {args.model_kind} model and bootstrapping ({args.nboot} draws)")
     band = regression.scb_mean_bootstrap(
-        table, spec, grid, family="gaussian", n_boot=args.nboot,
+        table, spec, grid, family=args.model_kind, n_boot=args.nboot,
         alpha=args.alpha, grid_boot=grid_boot, seed=args.seed,
-    )
-    _write_out(args, band_to_json(band))
-
-
-def _cmd_scb_logistic(args):
-    table = regression.Table.from_csv(args.data)
-    spec = regression.parse_formula(args.model)
-    grid = regression.Table.from_csv(args.grid)
-    _progress(args, f"fitting logistic model and bootstrapping ({args.nboot} draws)")
-    band = regression.scb_mean_bootstrap(
-        table, spec, grid, family="binomial", n_boot=args.nboot,
-        alpha=args.alpha, seed=args.seed,
     )
     _write_out(args, band_to_json(band))
 
@@ -277,24 +265,18 @@ def build_parser() -> argparse.ArgumentParser:
     scb = sub.add_parser("scb", help="construct a band")
     scb_sub = scb.add_subparsers(dest="model_kind", required=True)
 
-    p = scb_sub.add_parser("linear", help="mean-outcome band for a linear model")
-    p.add_argument("--data", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--grid", required=True)
-    p.add_argument("--grid-boot", dest="grid_boot")
-    p.add_argument("--nboot", type=int, default=1000)
-    p.add_argument("--alpha", type=float, default=0.05)
-    _add_common(p)
-    p.set_defaults(func=_cmd_scb_linear)
-
-    p = scb_sub.add_parser("logistic", help="probability band for a logistic model")
-    p.add_argument("--data", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--grid", required=True)
-    p.add_argument("--nboot", type=int, default=1000)
-    p.add_argument("--alpha", type=float, default=0.05)
-    _add_common(p)
-    p.set_defaults(func=_cmd_scb_logistic)
+    for kind, help_text in (("linear", "mean-outcome band for a linear model"),
+                            ("logistic", "probability band for a logistic model")):
+        p = scb_sub.add_parser(kind, help=help_text)
+        p.add_argument("--data", required=True)
+        p.add_argument("--model", required=True)
+        p.add_argument("--grid", required=True)
+        if kind == "linear":
+            p.add_argument("--grid-boot", dest="grid_boot")
+        p.add_argument("--nboot", type=int, default=1000)
+        p.add_argument("--alpha", type=float, default=0.05)
+        _add_common(p)
+        p.set_defaults(func=_cmd_scb_mean, grid_boot=None)
 
     p = scb_sub.add_parser("coef", help="simultaneous coefficient intervals")
     p.add_argument("--data", required=True)

@@ -180,12 +180,9 @@ def _logit(p):
 
 
 def _expit(x):
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp of a nonpositive argument only, so neither branch overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _band_limits(eta_hat, se, q, tau, link):
@@ -274,12 +271,22 @@ def max_abs_standardized(delta, se, mask=None) -> float:
             raise ValueError("mask shape mismatch")
         delta = delta[mask]
         se = se[mask]
-    zero = se == 0
-    if np.any(zero & (delta != 0)):
+    stat, degenerate = _studentized_max(delta.ravel(), se.ravel())
+    if degenerate:
         raise ValueError("degenerate SE")
-    ratio = np.zeros_like(delta)
-    np.divide(np.abs(delta), se, out=ratio, where=~zero)
-    return float(ratio.max()) if ratio.size else 0.0
+    return float(stat)
+
+
+def _studentized_max(dev, se):
+    """The studentized max rule shared by every band: maxima of |dev| / se
+    over the last axis, and a per-row flag set where a cell has se == 0
+    against a nonzero dev. A cell with se == 0 and dev == 0 contributes 0.
+    ``se`` broadcasts against ``dev``; an empty last axis gives 0."""
+    dev = np.abs(dev)
+    zero = se == 0
+    ratio = np.zeros(np.broadcast_shapes(dev.shape, np.shape(se)))
+    np.divide(dev, se, out=ratio, where=~zero)
+    return ratio.max(axis=-1, initial=0.0), np.any(zero & (dev != 0), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +361,6 @@ def _domain_from_dict(d: dict) -> Domain:
     return Domain.grid2d(c1, c2, mask=m)
 
 
-def _field_to_list(values: np.ndarray) -> list:
-    out = []
-    for v in np.asarray(values, dtype=float).ravel():
-        out.append(None if np.isnan(v) else float(v))
-    return out
-
-
 def band_to_json(band: SCBand) -> str:
     """Serialize a band to its canonical JSON string (2D fields row-major)."""
     band.validate()
@@ -368,13 +368,13 @@ def band_to_json(band: SCBand) -> str:
         "domain": _domain_to_dict(band.domain),
         "shape": list(band.domain.shape),
         "link": band.link,
-        "eta_hat": _field_to_list(band.eta_hat),
-        "se": _field_to_list(band.se),
+        "eta_hat": band.eta_hat.ravel(),
+        "se": band.se.ravel(),
         "q_alpha": band.q_alpha,
         "tau": band.tau,
         "alpha": band.alpha,
-        "scb_low": _field_to_list(band.scb_low),
-        "scb_up": _field_to_list(band.scb_up),
+        "scb_low": band.scb_low.ravel(),
+        "scb_up": band.scb_up.ravel(),
     }
     return emit_json(doc)
 

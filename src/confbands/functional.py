@@ -21,7 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import BSpline
 
-from .core import Domain, SCBand, assemble_band, empirical_quantile, substream
+from .core import (
+    Domain,
+    SCBand,
+    _studentized_max,
+    assemble_band,
+    empirical_quantile,
+    substream,
+)
 
 __all__ = [
     "FunctionalDataset",
@@ -540,10 +547,8 @@ def cma_max_stats(C, cov, se, n_boot: int, rng) -> np.ndarray:
     z = rng.standard_normal((n_boot, cov.shape[0]))
     disp = z @ root.T  # draws of (beta_b - beta_hat)
     field = disp @ np.asarray(C, dtype=float).T
-    se = np.asarray(se, dtype=float)
-    ratio = np.zeros_like(field)
-    np.divide(np.abs(field), se[None, :], out=ratio, where=se[None, :] > 0)
-    return ratio.max(axis=1)
+    # flag ignored: PSD-projected draws put only rounding error on a zero-SE cell, so it gives 0
+    return _studentized_max(field, np.asarray(se, dtype=float))[0]
 
 
 def scb_cma(
@@ -617,18 +622,15 @@ def multiplier_max_stats(
     g = _multiplier_matrix(weights, (n_boot, N), rng)
     num = (g @ R) / np.sqrt(N)
     if sd_method == "regular":
-        eps = flat.std(axis=0, ddof=1)[None, :]
-        eps = np.broadcast_to(eps, num.shape)
+        eps = flat.std(axis=0, ddof=1)
     else:
         m1 = (g @ R) / N
         m2 = (g**2 @ R**2) / N
         eps = np.sqrt((N / (N - 1.0)) * np.abs(m2 - m1**2))
-    ratio = np.zeros_like(num)
-    np.divide(np.abs(num), eps, out=ratio, where=eps > 0)
-    bad = (eps == 0) & (np.abs(num) > 0)
-    if bad.any():
+    maxima, degenerate = _studentized_max(num, eps)
+    if degenerate.any():
         raise ValueError("degenerate SE")
-    return ratio.max(axis=1) if ratio.shape[1] else np.zeros(n_boot)
+    return maxima
 
 
 def scb_multiplier(

@@ -1,8 +1,9 @@
 """Spot-wise generalized least squares over a masked 2D grid and a
 multiplier bootstrap band for a linear functional of the coefficients.
 
-Each spot is fit independently under a within-spot error covariance
-(AR(1), compound symmetry, an explicit matrix, or none); the band for
+Each spot is fit under a within-spot error covariance (AR(1), compound
+symmetry, an explicit matrix, or none) by one whitened GLS solve; spots
+that share one covariance are solved together in a single call. The band for
 eta(s) = w'beta(s) reuses the multiplier-t machinery on whitened
 per-observation contributions, with one multiplier draw per observation
 shared across spots.
@@ -150,13 +151,14 @@ class GLSFit:
     design: np.ndarray
 
 
-def fit_gls_spot(X, z, V) -> tuple[np.ndarray, np.ndarray]:
-    """GLS at one spot via whitening: beta = (X'V^-1 X)^-1 X'V^-1 z, with
-    the coefficient covariance scaled by the whitened residual variance
-    RSS/(n - p)."""
-    X = np.asarray(X, dtype=float)
-    z = np.asarray(z, dtype=float)
-    V = np.asarray(V, dtype=float)
+def _gls_solve(V, X, Z):
+    """Whiten by the Cholesky factor of V and solve GLS for every column of
+    Z (or for a single vector z).
+
+    Returns (beta, XtX_inv, Xw, resid): the coefficients, one column per
+    column of Z, the inverse whitened Gram matrix, the whitened design and
+    the whitened residuals.
+    """
     n, p = X.shape
     if n <= p:
         raise ValueError("need more observations than design columns")
@@ -165,30 +167,35 @@ def fit_gls_spot(X, z, V) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError:
         raise ValueError("covariance V is singular or not positive definite") from None
     Xw = scipy.linalg.solve_triangular(L, X, lower=True)
-    zw = scipy.linalg.solve_triangular(L, z, lower=True)
-    XtX = Xw.T @ Xw
+    Zw = scipy.linalg.solve_triangular(L, Z, lower=True)
     try:
-        XtX_inv = np.linalg.inv(XtX)
+        XtX_inv = np.linalg.inv(Xw.T @ Xw)
     except np.linalg.LinAlgError:
         raise ValueError("design matrix is singular") from None
-    beta = XtX_inv @ (Xw.T @ zw)
-    resid = zw - Xw @ beta
-    sigma2 = float(resid @ resid) / (n - p)
+    beta = XtX_inv @ (Xw.T @ Zw)
+    return beta, XtX_inv, Xw, Zw - Xw @ beta
+
+
+def fit_gls_spot(X, z, V) -> tuple[np.ndarray, np.ndarray]:
+    """GLS at one spot via whitening: beta = (X'V^-1 X)^-1 X'V^-1 z, with
+    the coefficient covariance scaled by the whitened residual variance
+    RSS/(n - p)."""
+    X = np.asarray(X, dtype=float)
+    z = np.asarray(z, dtype=float)
+    beta, XtX_inv, _, resid = _gls_solve(np.asarray(V, dtype=float), X, z)
+    sigma2 = float(resid @ resid) / (X.shape[0] - X.shape[1])
     return beta, sigma2 * XtX_inv
 
 
-def _estimate_rho(resid: np.ndarray, groups) -> float:
-    """Lag-1 autocorrelation of residuals (Yule-Walker), adjacency within
-    groups only."""
-    num = 0.0
-    for idx in _group_slices(groups, resid.size):
+def _estimate_rho(resid: np.ndarray, groups) -> np.ndarray:
+    """Lag-1 autocorrelation (Yule-Walker) of each column of an (n, S)
+    residual matrix, adjacency within groups only; 0 for a zero column."""
+    num = np.zeros(resid.shape[1])
+    for idx in _group_slices(groups, resid.shape[0]):
         e = resid[idx]
-        if e.size >= 2:
-            num += float(e[:-1] @ e[1:])
-    den = float(resid @ resid)
-    if den <= 0:
-        return 0.0
-    return float(np.clip(num / den, -0.99, 0.99))
+        num += np.einsum("ns,ns->s", e[:-1], e[1:])
+    den = np.einsum("ns,ns->s", resid, resid)
+    return np.clip(num / np.where(den > 0, den, np.inf), -0.99, 0.99)
 
 
 def fit_gls_grid(
@@ -196,10 +203,12 @@ def fit_gls_grid(
 ) -> tuple[GLSFit, np.ndarray]:
     """Fit GLS at every unmasked spot.
 
-    Returns the per-spot fit fields together with the (n_obs, n_spots)
-    matrix of whitened per-observation contributions to eta_hat, used by the
-    multiplier bootstrap. Any spot failure aborts with the offending
-    coordinates listed.
+    Spots that share one covariance (none, fixed rho, an (n, n) explicit V)
+    are solved together; a per-spot covariance (estimated rho, an
+    (nx, ny, n, n) explicit V) is solved spot by spot. Returns the per-spot fit fields together with
+    the (n_obs, n_spots) matrix of whitened per-observation contributions to
+    eta_hat, used by the multiplier bootstrap. Any spot failure aborts with
+    the offending coordinates listed.
     """
     X = np.asarray(design, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -215,58 +224,47 @@ def fit_gls_grid(
     spots = np.argwhere(mask)
     if spots.size == 0:
         raise ValueError("all spots are masked")
+    Z = data.values[:, mask]  # (n, n_spots), spots in the order of ``spots``
 
-    nx, ny = mask.shape
-    beta_field = np.full((nx, ny, p), np.nan)
-    eta = np.full((nx, ny), np.nan)
-    se = np.full((nx, ny), np.nan)
-    contrib = np.zeros((n, spots.shape[0]))
-    failures = []
-
-    shared_V = None
+    V = None
     if corr.kind == "none":
-        shared_V = np.eye(n)
-    elif corr.kind in ("ar1", "comp_symm") and corr.rho is not None:
-        shared_V = build_correlation(corr, n)
-    elif corr.kind == "explicit" and np.asarray(corr.V).ndim == 2:
-        shared_V = np.asarray(corr.V, dtype=float)
+        V = np.eye(n)
+    elif corr.kind == "explicit":
+        V = np.asarray(corr.V, dtype=float)
+    elif corr.rho is not None:
+        V = build_correlation(corr, n)
+    else:
+        rho = _estimate_rho(Z - X @ (np.linalg.pinv(X) @ Z), corr.groups)
+    shared = V is not None and V.ndim == 2
 
-    ols_pinv = None
-    if shared_V is None and corr.kind in ("ar1", "comp_symm"):
-        ols_pinv = np.linalg.pinv(X)
+    def covariance(k):
+        if V is None:
+            return build_correlation(CorrelationSpec(corr.kind, float(rho[k]), groups=corr.groups), n)
+        return V if shared else V[tuple(spots[k])]
 
-    for k, (i, j) in enumerate(spots):
-        z = data.values[:, i, j]
+    beta = np.empty((p, len(spots)))
+    se = np.empty(len(spots))
+    contrib = np.empty_like(Z)
+    failures = []
+    for cols in [slice(None)] if shared else [slice(k, k + 1) for k in range(len(spots))]:
         try:
-            if shared_V is not None:
-                V = shared_V
-            elif corr.kind == "explicit":
-                V = np.asarray(corr.V, dtype=float)[i, j]
-            else:
-                rho = _estimate_rho(z - X @ (ols_pinv @ z), corr.groups)
-                V = build_correlation(
-                    CorrelationSpec(corr.kind, rho=rho, groups=corr.groups), n
-                )
-            L = np.linalg.cholesky(V)
-            Xw = scipy.linalg.solve_triangular(L, X, lower=True)
-            zw = scipy.linalg.solve_triangular(L, z, lower=True)
-            XtX_inv = np.linalg.inv(Xw.T @ Xw)
-            beta = XtX_inv @ (Xw.T @ zw)
-            resid = zw - Xw @ beta
-            sigma2 = float(resid @ resid) / (n - p)
-            cov = sigma2 * XtX_inv
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            failures.append(f"({data.x[i]:g}, {data.y[j]:g}): {exc}")
+            beta[:, cols], XtX_inv, Xw, resid = _gls_solve(covariance(cols.start), X, Z[:, cols])
+        except ValueError as exc:
+            failures += [f"({data.x[i]:g}, {data.y[j]:g}): {exc}" for i, j in spots[cols]]
             continue
-        beta_field[i, j] = beta
-        eta[i, j] = w @ beta
-        se[i, j] = np.sqrt(max(w @ cov @ w, 0.0))
         c = XtX_inv @ w
-        contrib[:, k] = n * (Xw @ c) * resid
-
+        sigma2 = np.einsum("ns,ns->s", resid, resid) / (n - p)
+        se[cols] = np.sqrt(np.maximum(sigma2 * (w @ c), 0.0))
+        contrib[:, cols] = n * (Xw @ c)[:, None] * resid
     if failures:
         raise ValueError("GLS fit failed at spots: " + "; ".join(failures))
-    return GLSFit(beta_field, eta, se, w, X), contrib
+
+    def on_grid(values):  # unmasked spots' values on the grid, NaN elsewhere
+        out = np.full(mask.shape + values.shape[1:], np.nan)
+        out[mask] = values
+        return out
+
+    return GLSFit(on_grid(beta.T), on_grid(w @ beta), on_grid(se), w, X), contrib
 
 
 def scb_gls(

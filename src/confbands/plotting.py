@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import regions
 from .core import SCBand
 
 __all__ = ["PlotSpec", "marching_squares", "render_band_svg", "render_band_files"]
@@ -59,6 +60,8 @@ class PlotSpec:
             raise ValueError("levels must be nonempty")
         if self.min_size < 0:
             raise ValueError("min_size must be nonnegative")
+        if self.set_type not in ("upper", "lower"):
+            raise ValueError(f"set_type must be 'upper' or 'lower', not {self.set_type!r}")
         if self.palette not in PALETTES:
             raise ValueError(f"unknown palette {self.palette!r}; "
                              f"choose one of {sorted(PALETTES)}")
@@ -298,18 +301,9 @@ def _segments_from_bools(include):
 
 
 def _region_masks(band: SCBand, level: float, set_type: str):
-    m = band.domain.mask_array()
-    if set_type == "upper":
-        inner = (band.scb_low >= level) & m
-        outer = (band.scb_up >= level) & m
-        est = (band.eta_hat >= level) & m
-    elif set_type == "lower":
-        inner = (band.scb_up <= level) & m
-        outer = (band.scb_low <= level) & m
-        est = (band.eta_hat <= level) & m
-    else:
-        raise ValueError(f"plots support set types 'upper' and 'lower', not {set_type!r}")
-    return inner, est, outer
+    invert = regions.invert_upper if set_type == "upper" else regions.invert_lower
+    r = invert(band, level)
+    return r.inner, r.estimate, r.outer
 
 
 def _render_1d(band: SCBand, spec: PlotSpec, levels) -> str:

@@ -27,7 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import Domain, SCBand, _expit, assemble_band, empirical_quantile, substream
+from .core import (
+    Domain,
+    SCBand,
+    _expit,
+    _studentized_max,
+    assemble_band,
+    empirical_quantile,
+    substream,
+)
 
 __all__ = [
     "Table",
@@ -79,9 +87,6 @@ class Table:
         if name not in self.columns:
             raise ValueError(f"unknown column {name!r}")
         return self.columns[name]
-
-    def take(self, idx) -> "Table":
-        return Table(self.names, {n: self.columns[n][idx] for n in self.names})
 
     @classmethod
     def from_arrays(cls, **named) -> "Table":
@@ -501,15 +506,10 @@ def _replicate_max_stats(X, y, family, C, stat_design, center):
     stat = _rowwise(beta, stat_design.T)
     var = np.sum(np.matmul(stat_design, cov) * stat_design, axis=2)
     se = np.sqrt(np.maximum(var, 0.0))
-    num = np.abs(stat - center[None, :])
-    zero = se == 0
-    # zero SE with zero numerator contributes 0; otherwise the replicate
-    # is degenerate and gets redrawn
-    degen = np.any(zero & (num > 0), axis=1)
-    ok &= ~degen & np.all(np.isfinite(se), axis=1)
-    ratio = np.zeros_like(num)
-    np.divide(num, se, out=ratio, where=~zero)
-    return ratio.max(axis=1), ok
+    stats, degenerate = _studentized_max(stat - center[None, :], se)
+    # a degenerate replicate is redrawn
+    ok &= ~degenerate & np.all(np.isfinite(se), axis=1)
+    return stats, ok
 
 
 def scb_mean_bootstrap(

@@ -74,7 +74,6 @@ class SimDesign:
     kind: str
     n: int
     seed: int = 0
-    noise_var: float = FOSR_NOISE_VAR  # fosr only; exposed for sensitivity runs
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -96,7 +95,7 @@ def generate(design: SimDesign, rng) -> tuple[object, np.ndarray]:
         x = (rng.random(n) < FOSR_GROUP_PROB).astype(float)
         Phi = fosr_eigenfunctions(t)
         scores = rng.standard_normal((n, 5)) * np.sqrt(FOSR_SCORE_VARS)
-        eps = rng.standard_normal((n, FOSR_N_TIMES)) * np.sqrt(design.noise_var)
+        eps = rng.standard_normal((n, FOSR_N_TIMES)) * np.sqrt(FOSR_NOISE_VAR)
         Y = fosr_truth(t)[None, :] * x[:, None] + scores @ Phi.T + eps
         data = functional.FunctionalDataset(tuple(range(n)), t, Y, {"x": x})
         return data, fosr_truth(t)

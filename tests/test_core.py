@@ -5,9 +5,12 @@ from hypothesis import strategies as st
 
 from confbands.core import (
     Domain,
+    _expit,
+    _studentized_max,
     assemble_band,
     band_from_json,
     band_to_json,
+    emit_json,
     empirical_quantile,
     max_abs_standardized,
     substream,
@@ -134,6 +137,51 @@ class TestMaxAbsStandardized:
         with pytest.raises(ValueError, match="degenerate SE"):
             max_abs_standardized([1.0], [0.0])
 
+    def test_2d_field_reduces_over_every_cell(self):
+        delta = np.array([[1.0, -4.0], [2.0, 0.0]])
+        se = np.array([[1.0, 2.0], [0.5, 0.0]])
+        assert max_abs_standardized(delta, se) == 4.0
+
+
+class TestStudentizedMax:
+    def test_row_maxima_and_flags(self):
+        dev = np.array([[1.0, -3.0, 0.0], [2.0, 0.0, 5.0], [0.0, 0.0, 0.0]])
+        se = np.array([[1.0, 2.0, 0.0], [4.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        stats, degenerate = _studentized_max(dev, se)
+        np.testing.assert_array_equal(stats, [1.5, 0.5, 0.0])
+        np.testing.assert_array_equal(degenerate, [False, True, False])
+
+    def test_se_broadcasts_over_rows(self):
+        stats, degenerate = _studentized_max(np.array([[2.0, 1.0], [-6.0, 0.0]]),
+                                             np.array([2.0, 0.0]))
+        np.testing.assert_array_equal(stats, [1.0, 3.0])
+        np.testing.assert_array_equal(degenerate, [True, False])
+
+    def test_empty_axis_gives_zero(self):
+        stats, degenerate = _studentized_max(np.zeros((3, 0)), np.zeros(0))
+        np.testing.assert_array_equal(stats, np.zeros(3))
+        assert not degenerate.any()
+
+
+def _expit_two_branch(x):
+    """The masked two-branch logistic, kept here as the reference."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_expit_matches_two_branch_reference(rng):
+    special = np.array([np.inf, -np.inf, 0.0, -0.0, np.nan, 800.0, -800.0, 745.2, -745.2])
+    x = np.concatenate([special, rng.uniform(-800, 800, 5000), rng.standard_normal(5000)])
+    got = _expit(x)
+    np.testing.assert_array_equal(got, _expit_two_branch(x))
+    grid = x[:10000].reshape(100, 100)
+    np.testing.assert_array_equal(_expit(grid), _expit_two_branch(grid))
+
 
 class TestDomain:
     def test_coords_must_increase(self):
@@ -163,6 +211,14 @@ class TestBandJson:
         band = random_band(rng, "grid2d", masked=True)
         if band.domain.mask is not None and not band.domain.mask.all():
             assert "null" in band_to_json(band)
+
+    def test_fields_match_per_cell_emitter(self, rng):
+        # fields go to the emitter as raw arrays; NaN cells must still be null
+        band = random_band(rng, "grid2d", max_side=12, masked=True)
+        text = band_to_json(band)
+        for name in ("eta_hat", "se", "scb_low", "scb_up"):
+            cells = [None if np.isnan(v) else float(v) for v in getattr(band, name).ravel()]
+            assert f'"{name}": ' + emit_json(cells).rstrip("\n") in text
 
     def test_reconstruction_checked_on_load(self, rng):
         band = random_band(rng, "grid1d")

@@ -174,6 +174,17 @@ class TestCma:
             band.scb_up - band.eta_hat, band.eta_hat - band.scb_low, atol=1e-12
         )
 
+    def test_zero_se_cell_contributes_zero(self):
+        # cell 0 has zero variance under cov = v v', but the PSD-projected
+        # draws put rounding error on it; it must give 0, not raise
+        v = np.array([0.3, 0.7, 0.1])
+        cov = np.outer(v, v)
+        C = np.array([[0.7, -0.3, 0.0], [1.0, 0.0, 0.0]])
+        assert cma_max_stats(C[:1], cov, [1e-300], 500, substream(1)).max() > 0
+        both = cma_max_stats(C, cov, [0.0, 0.3], 500, substream(1))
+        alone = cma_max_stats(C[1:], cov, [0.3], 500, substream(1))
+        np.testing.assert_allclose(both, alone, rtol=1e-14)
+
     def test_q_monotone_in_alpha_same_draws(self, rng):
         from confbands.core import empirical_quantile
 
@@ -234,6 +245,11 @@ class TestMultiplierBootstrap:
         R = np.sqrt(N / (N - 1)) * (samples - samples.mean(0))
         T = (np.zeros((1, N)) @ R) / np.sqrt(N)
         assert np.all(T == 0.0)
+
+    def test_zero_sd_against_nonzero_numerator_raises(self):
+        # N = 2: multipliers (1, -1) give eps == 0 with a nonzero numerator
+        with pytest.raises(ValueError, match="degenerate SE"):
+            multiplier_max_stats(np.array([[1.0], [3.0]]), 100, "rademacher", "t", substream(0))
 
     def test_needs_two_subjects(self, rng):
         with pytest.raises(ValueError, match="at least 2"):

@@ -190,3 +190,83 @@ class TestExplicitPerSpotCovariance:
         band = scb_gls(data, X, [1.0, 0, 0, 0],
                        CorrelationSpec("explicit", V=V), n_boot=150, seed=3)
         band.validate()
+
+
+def _per_spot_rho(resid, groups):
+    """Lag-1 Yule-Walker estimate for one spot's residual vector."""
+    num = 0.0
+    for g in dict.fromkeys(groups.tolist()):
+        e = resid[groups == g]
+        num += float(e[:-1] @ e[1:])
+    den = float(resid @ resid)
+    return float(np.clip(num / den, -0.99, 0.99)) if den > 0 else 0.0
+
+
+class TestGridMatchesSpotOracle:
+    """Every spot of fit_gls_grid against fit_gls_spot with that spot's V."""
+
+    @pytest.mark.parametrize(
+        "case", ["none", "ar1", "ar1_groups", "explicit_2d", "explicit_per_spot", "ar1_estimated"]
+    )
+    def test_every_spot_matches(self, case, rng):
+        mask = np.ones((5, 4), dtype=bool)
+        mask[0, :2] = False
+        data, X, _ = planted_field(nx=5, ny=4, n_obs=24, noise=0.5, seed=21, mask=mask)
+        n = data.n_obs
+        w = np.array([1.0, 0.5, 0.0, -1.0])
+        groups = np.repeat([0, 1, 2], n // 3)
+        A = rng.standard_normal((n, n))
+        per_spot = np.empty((5, 4, n, n))
+        for i in range(5):
+            for j in range(4):
+                per_spot[i, j] = build_correlation(CorrelationSpec("ar1", rho=0.1 * i - 0.05 * j), n)
+        spec = {
+            "none": CorrelationSpec("none"),
+            "ar1": CorrelationSpec("ar1", rho=0.4),
+            "ar1_groups": CorrelationSpec("ar1", rho=0.4, groups=groups),
+            "explicit_2d": CorrelationSpec("explicit", V=A @ A.T + n * np.eye(n)),
+            "explicit_per_spot": CorrelationSpec("explicit", V=per_spot),
+            "ar1_estimated": CorrelationSpec("ar1", groups=groups),
+        }[case]
+        fit, contrib = fit_gls_grid(data, X, w, spec)
+        ols = np.linalg.pinv(X)
+        for k, (i, j) in enumerate(np.argwhere(mask)):
+            z = data.values[:, i, j]
+            if case == "none":
+                V = np.eye(n)
+            elif case == "ar1_estimated":
+                rho = _per_spot_rho(z - X @ (ols @ z), groups)
+                V = build_correlation(CorrelationSpec("ar1", rho=rho, groups=groups), n)
+            elif spec.kind == "explicit":
+                V = spec.V if spec.V.ndim == 2 else spec.V[i, j]
+            else:
+                V = build_correlation(spec, n)
+            beta, cov = fit_gls_spot(X, z, V)
+            np.testing.assert_allclose(fit.beta[i, j], beta, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(fit.eta[i, j], w @ beta, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(fit.se[i, j], np.sqrt(w @ cov @ w), rtol=0, atol=1e-12)
+            # whitened per-observation contributions n * (Xw (Xw'Xw)^-1 w) * rw
+            L = np.linalg.cholesky(V)
+            Xw = np.linalg.solve(L, X)
+            expected = n * (Xw @ np.linalg.solve(Xw.T @ Xw, w)) * np.linalg.solve(L, z - X @ beta)
+            np.testing.assert_allclose(contrib[:, k], expected, rtol=0, atol=1e-10)
+        assert np.isnan(fit.eta[~mask]).all() and np.isnan(fit.beta[~mask]).all()
+        assert contrib.shape == (n, mask.sum())
+
+    def test_one_non_pd_spot_is_listed_alone(self):
+        data, X, _ = planted_field(nx=4, ny=3, n_obs=20, noise=0.5, seed=9)
+        n = data.n_obs
+        V = np.broadcast_to(np.eye(n), (4, 3, n, n)).copy()
+        V[2, 1] = 0.0
+        with pytest.raises(ValueError) as info:
+            fit_gls_grid(data, X, [1.0, 0, 0, 0], CorrelationSpec("explicit", V=V))
+        assert str(info.value) == (
+            "GLS fit failed at spots: (2, 1): covariance V is singular or not positive definite"
+        )
+
+    def test_shared_non_pd_lists_every_spot(self):
+        data, X, _ = planted_field(nx=3, ny=2, n_obs=20, noise=0.5, seed=9)
+        with pytest.raises(ValueError) as info:
+            fit_gls_grid(data, X, [1.0, 0, 0, 0],
+                         CorrelationSpec("explicit", V=np.zeros((20, 20))))
+        assert str(info.value).count("not positive definite") == 6

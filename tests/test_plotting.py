@@ -130,6 +130,13 @@ class TestSvgRendering:
         with pytest.raises(ValueError, match="palette"):
             PlotSpec(levels=(0.0,), palette="magma")
 
+    def test_set_type_other_than_upper_lower_rejected(self, rng):
+        # only upper and lower sets have a plot; 2-D bands included
+        band = random_band(rng, "grid2d", max_side=8)
+        for set_type in ("interval", "two_sided"):
+            with pytest.raises(ValueError, match="set_type"):
+                render_band_svg(band, PlotSpec(levels=(0.0,), set_type=set_type))
+
     def test_levels_nonempty(self):
         with pytest.raises(ValueError, match="nonempty"):
             PlotSpec(levels=())

@@ -342,6 +342,19 @@ class TestBootstrapRedraw:
         assert b1.q_alpha == b2.q_alpha
         assert np.isfinite(b1.q_alpha)
 
+    def test_zero_se_replicate_is_flagged_for_redraw(self):
+        # a refit on two rows is an exact line: sigma2 = 0, so se = 0
+        # against a nonzero deviation from the point fit
+        x = np.arange(6.0)
+        X = np.column_stack([np.ones(6), x])
+        y = np.array([1.0, 3.0, 4.0, 8.0, 8.5, 12.0])
+        C = np.array([[3.0, 3.0, 0.0, 0.0, 0.0, 0.0], [2.0, 1.0, 1.0, 1.0, 1.0, 0.0]])
+        G = np.column_stack([np.ones(4), np.linspace(0.0, 5.0, 4)])
+        center = G @ np.linalg.lstsq(X, y, rcond=None)[0]
+        stats, ok = regression._replicate_max_stats(X, y, "gaussian", C, G, center)
+        assert ok.tolist() == [False, True]
+        assert np.isfinite(stats[1]) and stats[1] > 0
+
 
 def redraw_prone_table(rng, binary=False):
     """A covariate with two nonzero entries: many resamples drop both and
