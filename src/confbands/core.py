@@ -345,20 +345,59 @@ def _domain_to_dict(domain: Domain) -> dict:
     }
 
 
-def _domain_from_dict(d: dict) -> Domain:
-    kind = d["kind"]
-    mask = d.get("mask")
+def _json_field(doc, name: str, kind: str, where: str, default=None):
+    """Field ``name`` of a parsed JSON object, checked to be a JSON ``kind``.
+
+    An absent or null field gives ``default`` when one is given. Anything
+    else that does not fit raises a ValueError naming the field.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    value = doc.get(name)
+    if value is None and default is not None:
+        return default
+    types = {"number": (int, float), "string": str, "array": list, "object": dict}[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{where} field {name!r} is missing or not a JSON {kind}")
+    return value
+
+
+def _json_floats(value, what: str, size: int | None = None) -> np.ndarray:
+    """A JSON array of numbers (null read as NaN) as a 1-D float array of
+    ``size`` values when ``size`` is given; a ValueError naming ``what``
+    otherwise."""
+    try:
+        out = np.array(value, dtype=float) if isinstance(value, list) else None
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out.ndim != 1 or (size is not None and out.size != size):
+        count = "" if size is None else f"{size} "
+        raise ValueError(f"{what} must be a JSON array of {count}numbers")
+    return out
+
+
+def _json_bools(value, what: str, shape) -> np.ndarray:
+    """A flat JSON array of true/false as a bool array of ``shape``; a
+    ValueError naming ``what`` otherwise."""
+    out = _json_floats(value, what, int(np.prod(shape)))
+    if not np.all((out == 0) | (out == 1)):
+        raise ValueError(f"{what} must hold only true/false")
+    return out.astype(bool).reshape(shape)
+
+
+def _domain_from_dict(d) -> Domain:
+    where = "band domain"
+    kind = _json_field(d, "kind", "string", where)
     if kind == "discrete":
-        return Domain.discrete(d["labels"])
-    if kind == "grid1d":
-        m = None if mask is None else np.asarray(mask, dtype=bool)
-        return Domain("grid1d", coords1=d["coords1"], mask=m)
-    c1 = np.asarray(d["coords1"], dtype=float)
-    c2 = np.asarray(d["coords2"], dtype=float)
-    m = None
+        return Domain.discrete(_json_field(d, "labels", "array", where))
+    if kind not in _KINDS:
+        raise ValueError(f"{where} field 'kind' must be one of {_KINDS}, got {kind!r}")
+    names = ("coords1",) if kind == "grid1d" else ("coords1", "coords2")
+    coords = [_json_floats(d.get(name), f"{where} field {name!r}") for name in names]
+    mask = d.get("mask")
     if mask is not None:
-        m = np.asarray(mask, dtype=bool).reshape(c1.size, c2.size)
-    return Domain.grid2d(c1, c2, mask=m)
+        mask = _json_bools(mask, f"{where} field 'mask'", tuple(c.size for c in coords))
+    return Domain(kind, *coords, mask=mask)
 
 
 def band_to_json(band: SCBand) -> str:
@@ -384,26 +423,25 @@ def band_from_json(text: str) -> SCBand:
     import json
 
     doc = json.loads(text)
-    domain = _domain_from_dict(doc["domain"])
-    shape = tuple(doc["shape"])
+    domain = _domain_from_dict(_json_field(doc, "domain", "object", "band"))
+    shape = tuple(_json_field(doc, "shape", "array", "band"))
     if shape != domain.shape:
         raise ValueError(f"shape entry {shape} does not match domain {domain.shape}")
 
     def load_field(name):
-        raw = doc[name]
-        arr = np.array([np.nan if v is None else float(v) for v in raw], dtype=float)
-        return arr.reshape(shape)
+        values = _json_floats(doc.get(name), f"band field {name!r}", domain.size)
+        return values.reshape(domain.shape)
 
     band = SCBand(
         domain=domain,
         eta_hat=load_field("eta_hat"),
         se=load_field("se"),
-        q_alpha=float(doc["q_alpha"]),
-        alpha=float(doc["alpha"]),
+        q_alpha=float(_json_field(doc, "q_alpha", "number", "band")),
+        alpha=float(_json_field(doc, "alpha", "number", "band")),
         scb_low=load_field("scb_low"),
         scb_up=load_field("scb_up"),
-        tau=float(doc.get("tau", 1.0)),
-        link=doc.get("link", "identity"),
+        tau=float(_json_field(doc, "tau", "number", "band", default=1.0)),
+        link=_json_field(doc, "link", "string", "band", default="identity"),
     )
     band.validate()
     return band

@@ -326,18 +326,29 @@ def fit_fosr(
     J1 = len(names) + 1
     p = J1 * k_basis
     Xc = np.column_stack([np.ones(n)] + [data.covariates[c] for c in names])
-
-    obs = ~np.isnan(data.outcomes)
-    # design rows for observed (subject, time) cells: kron(x_i, B[t])
-    Zfull = (Xc[:, None, :, None] * B[None, :, None, :]).reshape(n, T, p)
-    Z = Zfull[obs]
-    y = data.outcomes[obs]
-    n_obs = y.size
     S = np.kron(np.eye(J1), P)
 
-    ZtZ = Z.T @ Z
-    Zty = Z.T @ y
-    yty = float(y @ y)
+    # Subject i's design rows are Z_i = kron(x_i, B[t]) at its observed
+    # times. Every per-subject quantity is stacked over subjects, missing
+    # cells zeroed through the observation mask O_i: Bt_O[i] = B' O_i, and
+    # Y0 is the outcome matrix with 0 at missing cells.
+    Y = data.outcomes
+    obs = ~np.isnan(Y)
+    Y0 = np.where(obs, Y, 0.0)
+    Bt_O = B.T[None, :, :] * obs[:, None, :]  # (n, kb, T)
+
+    def kron_x(blocks):  # (n, kb, ...) -> (n, p, ...): kron(x_i, blocks[i])
+        return np.einsum("nj,nk...->njk...", Xc, blocks).reshape((n, p) + blocks.shape[2:])
+
+    def mean_curves(theta):  # (n, T) mean-model fit x_i' Theta B'
+        return Xc @ (theta.reshape(J1, k_basis) @ B.T)
+
+    ZtZ_i = np.einsum("ni,nj,nkl->nikjl", Xc, Xc, Bt_O @ B).reshape(n, p, p)
+    Zty_i = kron_x(Y0 @ B)
+    ZtZ = ZtZ_i.sum(axis=0)
+    Zty = Zty_i.sum(axis=0)
+    yty = float(np.sum(Y0**2))
+    n_obs = int(obs.sum())
     if gcv_ladder is None:
         gcv_ladder = np.logspace(-6, 4, 21)
     best = (np.inf, gcv_ladder[0], None)
@@ -358,119 +369,64 @@ def fit_fosr(
     if theta1 is None:
         raise ValueError("penalized mean-model fit failed for every lambda")
 
-    Theta1 = theta1.reshape(J1, k_basis)
-    fitted1 = Xc @ (Theta1 @ B.T)
-    E = np.where(obs, data.outcomes - fitted1, np.nan)
+    E = np.where(obs, Y - mean_curves(theta1), np.nan)
 
     # degeneracy is judged against an unpenalized fit: the ladder-floor
     # penalty leaves a small bias residue even on exactly representable data
-    theta_ls, *_ = np.linalg.lstsq(Z, y, rcond=None)
-    scale = max(1.0, float(np.abs(y).max(initial=0.0)))
-    degenerate = float(np.abs(y - Z @ theta_ls).max(initial=0.0)) < 1e-8 * scale
+    theta_ls = np.linalg.lstsq(ZtZ, Zty, rcond=None)[0]
+    resid_ls = np.where(obs, Y - mean_curves(theta_ls), 0.0)
+    degenerate = float(np.abs(resid_ls).max()) < 1e-8 * max(1.0, float(np.abs(Y0).max()))
 
     dt = (t[-1] - t[0]) / (T - 1) if T > 1 else 1.0
     if degenerate:
         warnings.warn("all residuals are zero; skipping FPCA (K = 0)")
-        Phi = np.zeros((T, 0))
-        sigma_k2 = np.zeros(0)
-        noise = 0.0
+        Phi, sigma_k2, noise = np.zeros((T, 0)), np.zeros(0), 0.0
     else:
         Phi, sigma_k2, noise = _fpca_from_residuals(E, dt, pve, n_components)
     K = Phi.shape[1]
 
-    # refit with per-subject score columns, solved through the Schur
-    # complement of the block-diagonal score block. The coefficient blocks
-    # are left unpenalized here (ladder-floor roughness penalty only, as a
-    # numerical stabilizer): the mean model's GCV lambda was tuned against a
-    # residual scale that included the subject effects, and carrying it over
-    # both biases the coefficient functions and understates their variance
-    # once the score terms absorb that variation.
-    ridge = noise / np.maximum(sigma_k2, 1e-10) if K else np.zeros(0)
+    # refit with per-subject score columns U_i = O_i Phi (zero width when
+    # K = 0), solved through the Schur complement of the block-diagonal score
+    # block. The coefficient blocks are left unpenalized here (ladder-floor
+    # roughness penalty only, as a numerical stabilizer): the mean model's
+    # GCV lambda was tuned against a residual scale that included the subject
+    # effects, and carrying it over both biases the coefficient functions and
+    # understates their variance once the score terms absorb that variation.
+    ridge = noise / np.maximum(sigma_k2, 1e-10)
     lam_refit = float(np.min(gcv_ladder))
-    if K:
-        Phi_i = [Phi[obs[i]] for i in range(n)]  # (T_i, K) per subject
-        Zt_i = [Zfull[i][obs[i]].T for i in range(n)]  # (p, T_i)
-        y_i = [data.outcomes[i][obs[i]] for i in range(n)]
-        A12 = np.zeros((p, n * K))
-        A22inv = np.zeros((n, K, K))
-        Uty = np.zeros(n * K)
-        Pen = np.diag(ridge)
-        for i in range(n):
-            blk = slice(i * K, (i + 1) * K)
-            A12[:, blk] = Zt_i[i] @ Phi_i[i]
-            A22_i = Phi_i[i].T @ Phi_i[i] + Pen
-            A22inv[i] = np.linalg.inv(A22_i)
-            Uty[blk] = Phi_i[i].T @ y_i[i]
-        G = np.zeros_like(A12)
-        for i in range(n):
-            blk = slice(i * K, (i + 1) * K)
-            G[:, blk] = A12[:, blk] @ A22inv[i]
-        M = ZtZ - G @ A12.T  # Schur complement minus the lambda*S part
-        M = 0.5 * (M + M.T)
-        rhs = Zty - G @ Uty
-        # edf contribution of the score blocks that does not depend on theta
-        edf_fixed = float(
-            sum(np.trace(A22inv[i] @ Pen) for i in range(n))
-        )
-        Sinv = np.linalg.inv(M + lam_refit * S)
-        theta = Sinv @ rhs
-        xi = np.zeros((n, K))
-        for i in range(n):
-            blk = slice(i * K, (i + 1) * K)
-            xi[i] = A22inv[i] @ (Uty[blk] - A12[:, blk].T @ theta)
-        fitted = np.einsum("ntp,p->nt", Zfull, theta) + xi @ Phi.T
-        rss = float(np.sum(np.where(obs, data.outcomes - fitted, 0.0) ** 2))
-        edf = p + n * K - lam_refit * float(np.trace(Sinv @ S)) - edf_fixed
-        for i in range(n):
-            blk = slice(i * K, (i + 1) * K)
-            AP = A22inv[i] @ A12[:, blk].T
-            edf -= float(np.trace((AP @ Sinv @ AP.T) @ Pen))
-        sigma2 = rss / max(n_obs - edf, 1.0)
+    A12 = kron_x(Bt_O @ Phi)  # (n, p, K): Z_i' U_i
+    A22inv = np.linalg.inv((Phi.T[None, :, :] * obs[:, None, :]) @ Phi + np.diag(ridge))
+    G = A12 @ A22inv
+    Uty = Y0 @ Phi  # (n, K): U_i' y_i
+    M = ZtZ - np.tensordot(G, A12, axes=([0, 2], [0, 2]))  # Schur complement minus lambda*S
+    M = 0.5 * (M + M.T)
+    if degenerate:
+        Sinv = np.linalg.pinv(M)
+        theta = theta_ls  # plain least squares reproduces the data exactly
     else:
-        if degenerate:
-            theta = theta_ls  # plain least squares reproduces the data exactly
-            Ainv = np.linalg.pinv(ZtZ)
-        else:
-            Ainv = np.linalg.inv(ZtZ + lam_refit * S)
-            theta = Ainv @ Zty
-        xi = np.zeros((n, 0))
-        fitted = np.einsum("ntp,p->nt", Zfull, theta)
-        rss = float(np.sum(np.where(obs, data.outcomes - fitted, 0.0) ** 2))
-        edf = float(np.trace(Ainv @ ZtZ))
-        sigma2 = rss / max(n_obs - edf, 1.0)
+        Sinv = np.linalg.inv(M + lam_refit * S)
+        theta = Sinv @ (Zty - np.tensordot(G, Uty, axes=([0, 2], [0, 1])))
+    xi = np.einsum("nkl,nl->nk", A22inv, Uty - theta @ A12)
 
-    Theta = theta.reshape(J1, k_basis)
-    mean_fitted = Xc @ (Theta @ B.T)
-    mean_resid = np.where(obs, data.outcomes - mean_fitted, np.nan)
+    R0 = np.where(obs, Y - mean_curves(theta), 0.0)  # mean-model residuals
+    rss = float(np.sum(np.where(obs, R0 - xi @ Phi.T, 0.0) ** 2))
+    # edf = tr(A^-1 W'W) for the full design W = [Z | U] and system matrix A
+    edf = (np.trace(Sinv @ M) + n * K - np.einsum("nkk,k->", A22inv, ridge)
+           - np.einsum("npk,npk,k->", G, Sinv @ G, ridge))
+    sigma2 = rss / max(n_obs - edf, 1.0)
 
     # per-subject contributions: leave-one-out pseudo-values when the data
     # are complete (the full two-stage pipeline is re-run per leave-out);
     # with missing cells, fall back to plug-in influence contributions
-    if not np.isnan(data.outcomes).any():
-        Y = data.outcomes
-        BtB = B.T @ B
-        XX = Xc[:, :, None] * Xc[:, None, :]  # (n, J1, J1)
-        ZtZ_i = (
-            XX[:, :, None, :, None] * BtB[None, None, :, None, :]
-        ).reshape(n, p, p)
-        BtY = Y @ B  # (n, kb)
-        Zty_i = (Xc[:, :, None] * BtY[:, None, :]).reshape(n, p)
+    # Sinv (Z_i' r_i - G[i] U_i' r_i)
+    if obs.all():
         theta_loo = _loo_theta_complete(
-            Y, Xc, B, BtB, S, lam, lam_refit, pve, n_components,
+            Y, Xc, B, B.T @ B, S, lam, lam_refit, pve, n_components,
             ZtZ, Zty, ZtZ_i, Zty_i, dt,
         )
         u = ((n - 1.0) / n) * (theta[None, :] - theta_loo)
     else:
-        if K:
-            u = np.zeros((n, p))
-            for i in range(n):
-                blk = slice(i * K, (i + 1) * K)
-                Wi = Sinv @ (Zt_i[i] - (G[:, blk] @ Phi_i[i].T))
-                u[i] = Wi @ np.nan_to_num(mean_resid[i][obs[i]])
-        else:
-            u = np.zeros((n, p))
-            for i in range(n):
-                u[i] = (Ainv @ Zfull[i][obs[i]].T) @ mean_resid[i][obs[i]]
+        u = (kron_x(R0 @ B) - np.einsum("npk,nk->np", G, R0 @ Phi)) @ Sinv.T
 
     uc = u - u.mean(axis=0)
     Vbeta = (n / (n - 1.0)) * (uc.T @ uc)
@@ -479,18 +435,17 @@ def fit_fosr(
         times=t,
         covariate_names=names,
         basis=BasisModel(B, P, float(lam)),
-        coef=Theta,
+        coef=theta.reshape(J1, k_basis),
         cov_coef=Vbeta,
         eigenfunctions=Phi,
         scores=xi,
         score_variances=np.asarray(sigma_k2),
         noise_variance=float(noise),
         sigma2=float(sigma2),
-        residuals=mean_resid,
+        residuals=np.where(obs, R0, np.nan),
         contributions=u,
         settings={"k_basis": k_basis, "pve": pve, "n_components": n_components},
     )
-
 
 
 def predict_target(
@@ -656,10 +611,7 @@ def scb_multiplier(
     Y = data.outcomes
     # domain values identically zero (beyond the first index) break the
     # studentization, mirroring the documented precondition
-    seg_zero = np.array(
-        [np.all(Y[~np.isnan(Y[:, j]), j] == 0) if (~np.isnan(Y[:, j])).any() else False
-         for j in range(data.n_times)]
-    )
+    seg_zero = (~np.isnan(Y)).any(axis=0) & np.all((Y == 0) | np.isnan(Y), axis=0)
     if seg_zero[1:].any():
         raise ValueError("outcome is identically zero within a domain segment")
     if data.has_missing():
@@ -719,10 +671,6 @@ def impute_fpca(data: FunctionalDataset, pve: float = 0.95) -> FunctionalDataset
     out = Y.copy()
     for i in np.flatnonzero(miss.any(axis=1)):
         o = ~miss[i]
-        if K:
-            xi, *_ = np.linalg.lstsq(Phi[o], Y[i, o] - mu[o], rcond=None)
-            recon = mu + Phi @ xi
-        else:
-            recon = mu
-        out[i, miss[i]] = recon[miss[i]]
+        xi, *_ = np.linalg.lstsq(Phi[o], Y[i, o] - mu[o], rcond=None)
+        out[i, miss[i]] = (mu + Phi @ xi)[miss[i]]
     return FunctionalDataset(data.ids, data.times, out, data.covariates)

@@ -231,6 +231,10 @@ def fit_gls_grid(
         V = np.eye(n)
     elif corr.kind == "explicit":
         V = np.asarray(corr.V, dtype=float)
+        if V.shape not in ((n, n), mask.shape + (n, n)):
+            raise ValueError(
+                f"V must have shape ({n}, {n}) or {mask.shape + (n, n)}, got {V.shape}"
+            )
     elif corr.rho is not None:
         V = build_correlation(corr, n)
     else:

@@ -66,6 +66,8 @@ class PlotSpec:
             raise ValueError(f"unknown palette {self.palette!r}; "
                              f"choose one of {sorted(PALETTES)}")
         object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
+        if not np.all(np.isfinite(self.levels)):
+            raise ValueError("levels must be finite")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Domain, SCBand, emit_json
+from .core import Domain, SCBand, _json_bools, _json_field, _json_floats, emit_json
 
 __all__ = [
     "ThresholdSpec",
@@ -218,21 +218,40 @@ def regions_to_json(regions: list[RegionSet], domain: Domain) -> str:
 
 
 def regions_from_json(text: str) -> list[RegionSet]:
+    """Parse a region file. A missing or malformed field, a per-level field
+    whose length differs from ``levels``, or an unknown ``set_types`` value
+    raises a ValueError naming the field."""
     import json
 
     doc = json.loads(text)
-    shape = tuple(doc["shape"])
-    types = doc.get("set_types") or [doc["set_type"]] * len(doc["levels"])
+    where = "region file"
+    shape = tuple(_json_field(doc, "shape", "array", where))
+    if not shape or not all(type(v) is int and v > 0 for v in shape):
+        raise ValueError(f"{where} field 'shape' must be a nonempty array of positive integers")
+    levels = _json_field(doc, "levels", "array", where)
+    per_level = {"set_types": doc.get("set_types")
+                 or [_json_field(doc, "set_type", "string", where)] * len(levels)}
+    per_level.update({name: _json_field(doc, name, "array", where)
+                      for name in ("inner", "outer", "estimate")})
+    for name, value in per_level.items():
+        if not isinstance(value, list) or len(value) != len(levels):
+            raise ValueError(f"{where} field {name!r} must hold one entry per level "
+                             f"({len(levels)})")
     out = []
-    for i, lv in enumerate(doc["levels"]):
-        level = tuple(lv) if isinstance(lv, list) else float(lv)
-        out.append(
-            RegionSet(
-                types[i],
-                level,
-                np.asarray(doc["inner"][i], dtype=bool).reshape(shape),
-                np.asarray(doc["outer"][i], dtype=bool).reshape(shape),
-                np.asarray(doc["estimate"][i], dtype=bool).reshape(shape),
-            )
-        )
+    for i, (set_type, lv) in enumerate(zip(per_level["set_types"], levels)):
+        if set_type not in ("upper", "lower", "interval"):
+            raise ValueError(f"{where} field 'set_types' entry {i} must be 'upper', "
+                             f"'lower' or 'interval', got {set_type!r}")
+        what = f"{where} field 'levels' entry {i}"
+        if set_type == "interval":
+            level = tuple(_json_floats(lv, what, 2).tolist())
+        elif type(lv) in (int, float):
+            level = float(lv)
+        else:
+            raise ValueError(f"{what} must be a JSON number")
+        if not np.all(np.isfinite(level)):
+            raise ValueError(f"{what} must be finite")
+        sets = [_json_bools(per_level[name][i], f"{where} field {name!r} entry {i}", shape)
+                for name in ("inner", "outer", "estimate")]
+        out.append(RegionSet(set_type, level, *sets))
     return out

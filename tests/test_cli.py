@@ -6,6 +6,7 @@ import pytest
 
 from confbands.cli import main
 from confbands.core import band_from_json, band_to_json
+from conftest import random_band
 
 
 @pytest.fixture
@@ -121,6 +122,27 @@ class TestScbFosr:
         band = band_from_json(out.read_text())
         assert band.domain.shape == (12,)
 
+    @pytest.mark.parametrize("method", ["cma", "multiplier"])
+    def test_fosr_band_with_missing_outcomes(self, tmp_path, fosr_csv, method):
+        # NA cells in every other subject: multiplier imputes and refits
+        lines = fosr_csv.read_text().splitlines()
+        for k in range(1, len(lines), 5):
+            if int(lines[k].split(",")[0][1:]) % 2:
+                fields = lines[k].split(",")
+                fields[2] = "NA"
+                lines[k] = ",".join(fields)
+        assert sum(",NA," in line for line in lines) > 10
+        data = tmp_path / "long_na.csv"
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / f"fosr_na_{method}.json"
+        code = run(["scb", "fosr", "--data", data, "--method", method,
+                    "--fitted", "true", "--subset", "use=1", "--nboot", 300,
+                    "--kbasis", 8, "--quiet", "--out", out])
+        assert code == 0
+        band = band_from_json(out.read_text())
+        assert band.domain.shape == (12,)
+        assert np.all(np.isfinite(band.scb_low)) and np.all(band.scb_up > band.scb_low)
+
     def test_missing_required_column(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("subject,time,outcome\na,0,1\n")
@@ -211,6 +233,21 @@ class TestInvert:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "reconstruction" in err["message"]
 
+    @pytest.mark.parametrize("mutate, named", [
+        (lambda d: d.pop("q_alpha"), "'q_alpha'"),
+        (lambda d: d["domain"].__setitem__("kind", "grid3d"), "'kind'"),
+    ])
+    def test_malformed_band_invalid_input(self, tmp_path, band_file, capsys, mutate, named):
+        doc = json.loads(band_file.read_text())
+        mutate(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["invert", "--band", bad, "--levels", "0", "--quiet"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "invalid_input"
+        assert named in err["message"]
+
 
 class TestPlotCommand:
     def test_plot_writes_svg(self, tmp_path, rng, regression_files):
@@ -235,6 +272,16 @@ class TestPlotCommand:
         assert code == 0
         files = sorted(os.listdir(tmp_path))
         assert [f for f in files if f.startswith("p_L")] == ["p_L1.svg", "p_L2.svg", "p_L3.svg"]
+
+    @pytest.mark.parametrize("kind", ["grid1d", "grid2d"])
+    def test_non_finite_level_exit_2(self, tmp_path, rng, kind):
+        band_path = tmp_path / "band.json"
+        band_path.write_text(band_to_json(random_band(rng, kind, max_len=20, max_side=6)))
+        out = tmp_path / "p.svg"
+        with pytest.raises(SystemExit) as exc:
+            run(["plot", "--band", band_path, "--levels", "inf", "--quiet", "--out", out])
+        assert exc.value.code == 2
+        assert not out.exists()
 
 
 class TestSimulateCommand:

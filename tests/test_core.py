@@ -230,6 +230,49 @@ class TestBandJson:
         with pytest.raises(ValueError, match="reconstruction"):
             band_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("name", ["domain", "shape", "eta_hat", "se", "q_alpha",
+                                      "alpha", "scb_low", "scb_up"])
+    def test_missing_field_named(self, rng, name):
+        import json
+
+        doc = json.loads(band_to_json(random_band(rng, "grid1d", max_len=20)))
+        del doc[name]
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            band_from_json(json.dumps(doc))
+
+    def test_unknown_domain_kind_rejected(self, rng):
+        # a grid2d band relabelled grid3d used to load as grid2d
+        import json
+
+        doc = json.loads(band_to_json(random_band(rng, "grid2d", max_side=5)))
+        doc["domain"]["kind"] = "grid3d"
+        with pytest.raises(ValueError, match="'kind'.*'grid3d'"):
+            band_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("alpha", None, "'alpha'"),
+        ("q_alpha", "1.5", "'q_alpha'"),
+        ("link", 3, "'link'"),
+        ("eta_hat", [0.0], "'eta_hat'"),
+        ("se", ["a"] * 20, "'se'"),
+        ("domain", {"kind": "grid1d", "coords1": "0,1"}, "'coords1'"),
+        ("domain", {"kind": "grid1d", "coords1": list(range(20)), "mask": [True]}, "'mask'"),
+        ("domain", {"kind": 7}, "'kind'"),
+    ])
+    def test_malformed_field_named(self, field, value, named):
+        import json
+
+        band = assemble_band(np.zeros(20), np.ones(20), 2.0, 1.0, 0.05,
+                             Domain.grid1d(np.arange(20.0)))
+        doc = json.loads(band_to_json(band))
+        doc[field] = value
+        with pytest.raises(ValueError, match=named):
+            band_from_json(json.dumps(doc))
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError, match="band must be a JSON object"):
+            band_from_json("[1, 2]")
+
 
 class TestRng:
     def test_substream_reproducible(self):

@@ -93,6 +93,55 @@ class TestFitFosr:
         vals = np.linalg.eigvalsh(fit.cov_coef)
         assert vals.min() > -1e-10
 
+    @pytest.mark.parametrize("missing, n_components", [(True, None), (False, 0), (True, 0)])
+    def test_refit_matches_dense_oracle(self, rng, missing, n_components):
+        # the refit solved directly on the dense design W = [Z | U], with one
+        # block of score columns per subject, at the fit's own FPCA
+        t = np.linspace(0, 1, 25)
+        fns = np.column_stack([np.sqrt(2) * np.sin(2 * np.pi * t), np.cos(2 * np.pi * t)])
+        data = make_dataset(rng, n=24, T=25, beta1=np.sin(2 * np.pi * t), noise=0.3,
+                            subject_fns=fns)
+        Y = data.outcomes.copy()
+        if missing:
+            # about 10% of the cells, in every other subject, so that the
+            # FPCA still has complete rows to work from
+            Y[(rng.random(Y.shape) < 0.2) & (np.arange(24) % 2 == 0)[:, None]] = np.nan
+            data = FunctionalDataset(data.ids, data.times, Y, data.covariates)
+        fit = fit_fosr(data, ("x",), k_basis=8, n_components=n_components)
+        assert np.isnan(Y).any() == missing
+        if n_components is None:
+            assert fit.eigenfunctions.shape[1] > 0 and fit.noise_variance > 0.01
+
+        n, kb = Y.shape[0], 8
+        p = 2 * kb
+        K = fit.eigenfunctions.shape[1]
+        B = fit.basis.matrix
+        Xc = np.column_stack([np.ones(n), data.covariates["x"]])
+        rows, cols = np.nonzero(~np.isnan(Y))
+        y = Y[rows, cols]
+        Z = (Xc[rows][:, :, None] * B[cols][:, None, :]).reshape(len(y), p)
+        U = np.zeros((len(y), n * K))
+        for r, (i, j) in enumerate(zip(rows, cols)):
+            U[r, i * K:(i + 1) * K] = fit.eigenfunctions[j]
+        W = np.hstack([Z, U])
+        ridge = fit.noise_variance / np.maximum(fit.score_variances, 1e-10)
+        S = np.kron(np.eye(2), difference_penalty(kb))
+        A = W.T @ W + scipy.linalg.block_diag(1e-6 * S, np.kron(np.eye(n), np.diag(ridge)))
+        b = np.linalg.solve(A, W.T @ y)
+        np.testing.assert_allclose(fit.coef.ravel(), b[:p], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(fit.scores, b[p:].reshape(n, K), rtol=0, atol=1e-9)
+        edf = np.trace(np.linalg.solve(A, W.T @ W))
+        sigma2 = np.sum((y - W @ b) ** 2) / (len(y) - edf)
+        assert abs(fit.sigma2 - sigma2) < 1e-9
+        if missing:
+            # plug-in contributions: first p rows of A^-1 [Z_i' r_i; U_i' r_i]
+            r = y - Z @ b[:p]
+            for i in range(n):
+                rhs = W[rows == i].T @ r[rows == i]
+                np.testing.assert_allclose(
+                    fit.contributions[i], np.linalg.solve(A, rhs)[:p], rtol=0, atol=1e-9
+                )
+
     def test_needs_ten_subjects(self, rng):
         data = make_dataset(rng, n=12, T=10, noise=0.1)
         small = FunctionalDataset(data.ids[:5], data.times, data.outcomes[:5],

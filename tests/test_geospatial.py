@@ -191,6 +191,21 @@ class TestExplicitPerSpotCovariance:
                        CorrelationSpec("explicit", V=V), n_boot=150, seed=3)
         band.validate()
 
+    def test_per_spot_array_off_grid_rejected(self):
+        data, X, _ = planted_field(nx=4, ny=3, n_obs=20, noise=0.5, seed=9)
+        V = np.broadcast_to(np.eye(20), (2, 2, 20, 20))
+        with pytest.raises(ValueError) as info:
+            fit_gls_grid(data, X, [1.0, 0, 0, 0], CorrelationSpec("explicit", V=V))
+        assert str(info.value) == (
+            "V must have shape (20, 20) or (4, 3, 20, 20), got (2, 2, 20, 20)"
+        )
+
+    def test_shared_matrix_wrong_size_rejected(self):
+        data, X, _ = planted_field(nx=4, ny=3, n_obs=20, noise=0.5, seed=9)
+        with pytest.raises(ValueError) as info:
+            fit_gls_grid(data, X, [1.0, 0, 0, 0], CorrelationSpec("explicit", V=np.eye(21)))
+        assert str(info.value) == "V must have shape (20, 20) or (4, 3, 20, 20), got (21, 21)"
+
 
 def _per_spot_rho(resid, groups):
     """Lag-1 Yule-Walker estimate for one spot's residual vector."""

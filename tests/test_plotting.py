@@ -141,6 +141,12 @@ class TestSvgRendering:
         with pytest.raises(ValueError, match="nonempty"):
             PlotSpec(levels=())
 
+    @pytest.mark.parametrize("level", [np.inf, -np.inf, np.nan])
+    def test_non_finite_levels_rejected(self, level):
+        # a 2-D band used to render these as an SVG with no contour
+        with pytest.raises(ValueError, match="levels must be finite"):
+            PlotSpec(levels=(0.0, level))
+
     def test_spectral_palette_documented_stops(self):
         assert PALETTES["Spectral"][0] == "#9e0142"
         assert PALETTES["Spectral"][-1] == "#5e4fa2"

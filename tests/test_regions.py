@@ -252,3 +252,47 @@ class TestRegionJson:
         rs = invert_levels(band, ThresholdSpec("two_sided", (0.0,)))
         back = regions_from_json(regions_to_json(rs, band.domain))
         assert [r.set_type for r in back] == ["upper", "lower"]
+
+    @pytest.mark.parametrize("spec", [
+        ThresholdSpec("upper", (-1.0, 0, 2.5)),
+        ThresholdSpec("two_sided", (0.0, 1.0)),
+        ThresholdSpec("interval", ((-1.0, 1.0), (0, 3))),
+    ])
+    def test_byte_identical_round_trip(self, rng, spec):
+        band = random_band(rng, "grid2d", max_side=6, masked=True)
+        text = regions_to_json(invert_levels(band, spec), band.domain)
+        assert regions_to_json(regions_from_json(text), band.domain) == text
+
+    @staticmethod
+    def _doc(rng):
+        import json
+
+        band = random_band(rng, "grid2d", max_side=5)
+        rs = invert_levels(band, ThresholdSpec("two_sided", (0.0, 0.5)))
+        return json.loads(regions_to_json(rs, band.domain))
+
+    @pytest.mark.parametrize("name", ["inner", "outer", "estimate", "set_types"])
+    def test_per_level_field_shorter_than_levels(self, rng, name):
+        # a short inner list used to fail with IndexError
+        import json
+
+        doc = self._doc(rng)
+        doc[name] = doc[name][:-1]
+        with pytest.raises(ValueError, match=f"'{name}' must hold one entry per level"):
+            regions_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("mutate, named", [
+        (lambda d: d["set_types"].__setitem__(1, "sideways"), "'set_types' entry 1"),
+        (lambda d: d["outer"].__setitem__(2, d["outer"][2][:-1]), "'outer' entry 2"),
+        (lambda d: d["inner"][0].__setitem__(0, 2), "'inner' entry 0"),
+        (lambda d: d["levels"].__setitem__(0, None), "'levels' entry 0"),
+        (lambda d: d.__setitem__("shape", [2, "3"]), "'shape'"),
+        (lambda d: d.pop("levels"), "'levels'"),
+    ])
+    def test_malformed_field_named(self, rng, mutate, named):
+        import json
+
+        doc = self._doc(rng)
+        mutate(doc)
+        with pytest.raises(ValueError, match=named):
+            regions_from_json(json.dumps(doc))
