@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import functional, geospatial, plotting, regions, regression, simulate
-from .core import band_from_json, band_to_json, emit_json
+from .core import _json_bools, _json_field, _json_floats, band_from_json, band_to_json, emit_json
 
 __all__ = ["main", "build_parser"]
 
@@ -91,33 +91,37 @@ def _load_fosr_csv(path):
 
 def _load_spatial(header_path, mask_path=None):
     """JSON header (x, y, shape, mask, cube) plus a binary .npy or flat CSV
-    cube in row-major (obs, x, y) order."""
+    cube in row-major (obs, x, y) order. A missing or malformed header field
+    raises a ValueError naming it."""
+    where = "spatial header"
     with open(header_path) as fh:
         head = json.load(fh)
-    x = np.asarray(head["x"], dtype=float)
-    y = np.asarray(head["y"], dtype=float)
-    cube_ref = head.get("cube")
-    if cube_ref is None:
-        cube = np.asarray(head["values"], dtype=float)
-    else:
+    x, y = (_json_floats(_json_field(head, name, "array", where), f"{where} field {name!r}")
+            for name in ("x", "y"))
+    cube_ref = _json_field(head, "cube", "string", where, default="")
+    if cube_ref:
         cube_path = os.path.join(os.path.dirname(os.path.abspath(header_path)), cube_ref)
         if cube_path.endswith(".npy"):
             cube = np.load(cube_path)
         else:
-            flat = np.loadtxt(cube_path, delimiter=",").ravel()
-            cube = flat
-    shape = head.get("shape")
-    if shape is not None:
-        cube = np.asarray(cube, dtype=float).reshape(tuple(shape))
-    elif cube.ndim != 3:
-        raise ValueError("spatial header needs 'shape' for a flat cube")
-    mask = head.get("mask")
+            cube = np.loadtxt(cube_path, delimiter=",").ravel()
+    else:
+        try:
+            cube = np.array(_json_field(head, "values", "array", where), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where} field 'values' must be an array of numbers") from exc
+    shape = tuple(_json_field(head, "shape", "array", where, default=cube.shape))
+    if (len(shape) != 3 or not all(type(v) is int and v > 0 for v in shape)
+            or shape[1:] != (x.size, y.size) or np.prod(shape) != cube.size):
+        raise ValueError(f"{where} field 'shape' must be [n_obs, {x.size}, {y.size}] "
+                         f"and fit the {cube.size} cube values, got {list(shape)}")
+    mask, what = head.get("mask"), f"{where} field 'mask'"
     if mask_path:
         with open(mask_path) as fh:
-            mask = json.load(fh)
+            mask, what = json.load(fh), f"mask file {mask_path!r}"
     if mask is not None:
-        mask = np.asarray(mask, dtype=bool).reshape(x.size, y.size)
-    return geospatial.SpatialObservations(x, y, cube, mask)
+        mask = _json_bools(mask, what, (x.size, y.size))
+    return geospatial.SpatialObservations(x, y, cube.reshape(shape), mask)
 
 
 # ---------------------------------------------------------------------------

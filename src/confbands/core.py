@@ -9,7 +9,8 @@ constructor other code should use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -293,56 +294,42 @@ def _studentized_max(dev, se):
 # Band file format
 # ---------------------------------------------------------------------------
 #
-# Canonical JSON: fixed key order, floats at 17 significant digits, masked
-# cells serialized as null. load -> save round-trips byte-identically.
-
-
-def _fmt_number(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    v = float(x)
-    if np.isnan(v):
-        return "null"
-    if not np.isfinite(v):
-        raise ValueError("non-finite value in JSON output")
-    return format(v, ".17g")
+# Canonical JSON: fixed key order, ", " and ": " separators, floats at 17
+# significant digits, NaN (masked cells) as null; +-inf is refused.
+# load -> save round-trips byte-identically.
 
 
 def _emit(obj) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        import json as _json
-
-        return _json.dumps(obj)
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, float, np.integer, np.floating)):
-        return _fmt_number(obj)
+    """Canonical JSON text of ``obj``. Only dicts and lists/tuples recurse;
+    each numpy leaf is formatted in one pass over its values."""
     if isinstance(obj, dict):
-        items = ", ".join(f"{_emit(str(k))}: {_emit(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        return "[" + ", ".join(_emit(v) for v in seq) + "]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {_emit(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)) or np.ndim(obj) > 1:
+        return "[" + ", ".join(map(_emit, obj)) + "]"
+    if isinstance(obj, (np.ndarray, np.generic)) and obj.dtype.kind != "f":
+        return json.dumps(obj.tolist())
+    if not isinstance(obj, (float, np.floating, np.ndarray)):
+        return json.dumps(obj)
+    if np.isinf(obj).any():
+        raise ValueError("non-finite value in JSON output")
+    text = ", ".join(map("%.17g".__mod__, np.ravel(obj).tolist())).replace("nan", "null")
+    return text if np.ndim(obj) == 0 else "[" + text + "]"
 
 
 def emit_json(obj: dict) -> str:
-    """Serialize a dict built from numbers/strings/lists to canonical JSON."""
+    """Serialize a dict built from numbers/strings/lists/arrays to canonical JSON."""
     return _emit(obj) + "\n"
 
 
-def _domain_to_dict(domain: Domain) -> dict:
-    return {
-        "kind": domain.kind,
-        "coords1": None if domain.coords1 is None else domain.coords1,
-        "coords2": None if domain.coords2 is None else domain.coords2,
-        "labels": None if domain.labels is None else list(domain.labels),
-        "mask": None if domain.mask is None else domain.mask.ravel().tolist(),
-    }
+def _domain_to_dict(d: Domain) -> dict:
+    mask = None if d.mask is None else d.mask.ravel()
+    return {"kind": d.kind, "coords1": d.coords1, "coords2": d.coords2, "labels": d.labels,
+            "mask": mask}
+
+
+def _json_loads(text: str):
+    """json.loads, except that "-0" reads as the float -0.0 that wrote it."""
+    return json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
 
 
 def _json_field(doc, name: str, kind: str, where: str, default=None):
@@ -420,9 +407,7 @@ def band_to_json(band: SCBand) -> str:
 
 def band_from_json(text: str) -> SCBand:
     """Parse a band file and check its reconstruction invariant."""
-    import json
-
-    doc = json.loads(text)
+    doc = _json_loads(text)
     domain = _domain_from_dict(_json_field(doc, "domain", "object", "band"))
     shape = tuple(_json_field(doc, "shape", "array", "band"))
     if shape != domain.shape:

@@ -547,7 +547,6 @@ def multiplier_max_stats(
     weights: str = "rademacher",
     sd_method: str = "t",
     rng=None,
-    mask=None,
 ) -> np.ndarray:
     """Multiplier-t max statistics for an (N, grid) sample of contributions.
 
@@ -570,18 +569,16 @@ def multiplier_max_stats(
     if rng is None:
         rng = np.random.default_rng()
     flat = samples.reshape(N, -1)
-    if mask is not None:
-        keep = np.asarray(mask, dtype=bool).ravel()
-        flat = flat[:, keep]
     R = np.sqrt(N / (N - 1.0)) * (flat - flat.mean(axis=0))
     g = _multiplier_matrix(weights, (n_boot, N), rng)
-    num = (g @ R) / np.sqrt(N)
+    num = g @ R
     if sd_method == "regular":
         eps = flat.std(axis=0, ddof=1)
     else:
-        m1 = (g @ R) / N
+        m1 = num / N
         m2 = (g**2 @ R**2) / N
         eps = np.sqrt((N / (N - 1.0)) * np.abs(m2 - m1**2))
+    num /= np.sqrt(N)  # in place, so no second (n_boot, spots) array is held
     maxima, degenerate = _studentized_max(num, eps)
     if degenerate.any():
         raise ValueError("degenerate SE")

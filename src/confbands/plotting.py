@@ -170,10 +170,6 @@ def _join_chains(segments, points):
     """Join segments sharing edge keys into maximal polylines."""
     if not segments:
         return []
-    adj = {}
-    for a, b in segments:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
     unused = {seg: True for seg in segments}
     seg_at = {}
     for seg in segments:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Domain, SCBand, _json_bools, _json_field, _json_floats, emit_json
+from .core import Domain, SCBand, _json_bools, _json_field, _json_floats, _json_loads, emit_json
 
 __all__ = [
     "ThresholdSpec",
@@ -91,18 +91,40 @@ def _masked(domain: Domain, *fields):
     return tuple(np.where(m, f, False) for f in fields)
 
 
+def _bounds(set_type: str, level):
+    """The closed interval [a, b] that a set type targets at ``level``."""
+    if set_type == "upper":
+        return level, np.inf
+    if set_type == "lower":
+        return -np.inf, level
+    return level
+
+
+def _invert(band: SCBand, set_type: str, level) -> RegionSet:
+    # inner: the band interval lies inside [a, b]; outer: it meets [a, b]
+    a, b = _bounds(set_type, level)
+    inner, outer, est = _masked(
+        band.domain,
+        (band.scb_low >= a) & (band.scb_up <= b),
+        (band.scb_up >= a) & (band.scb_low <= b),
+        (band.eta_hat >= a) & (band.eta_hat <= b),
+    )
+    return RegionSet(set_type, level, inner, outer, est)
+
+
+def _threshold(c) -> float:
+    c = float(c)
+    if not np.isfinite(c):
+        raise ValueError("threshold must be finite")
+    return c
+
+
 def invert_upper(band: SCBand, c: float) -> RegionSet:
     """Regions for the upper excursion set {s: eta(s) >= c}.
 
     inner = {scb_low >= c}, outer = {scb_up >= c}, estimate = {eta_hat >= c}.
     """
-    c = float(c)
-    if not np.isfinite(c):
-        raise ValueError("threshold must be finite")
-    inner, outer, est = _masked(
-        band.domain, band.scb_low >= c, band.scb_up >= c, band.eta_hat >= c
-    )
-    return RegionSet("upper", c, inner, outer, est)
+    return _invert(band, "upper", _threshold(c))
 
 
 def invert_lower(band: SCBand, c: float) -> RegionSet:
@@ -110,13 +132,7 @@ def invert_lower(band: SCBand, c: float) -> RegionSet:
 
     inner = {scb_up <= c}, outer = {scb_low <= c}, estimate = {eta_hat <= c}.
     """
-    c = float(c)
-    if not np.isfinite(c):
-        raise ValueError("threshold must be finite")
-    inner, outer, est = _masked(
-        band.domain, band.scb_up <= c, band.scb_low <= c, band.eta_hat <= c
-    )
-    return RegionSet("lower", c, inner, outer, est)
+    return _invert(band, "lower", _threshold(c))
 
 
 def invert_interval(band: SCBand, a: float, b: float) -> RegionSet:
@@ -128,13 +144,7 @@ def invert_interval(band: SCBand, a: float, b: float) -> RegionSet:
     a, b = float(a), float(b)
     if a > b:
         raise ValueError("empty interval")
-    inner, outer, est = _masked(
-        band.domain,
-        (band.scb_low >= a) & (band.scb_up <= b),
-        (band.scb_up >= a) & (band.scb_low <= b),
-        (band.eta_hat >= a) & (band.eta_hat <= b),
-    )
-    return RegionSet("interval", (a, b), inner, outer, est)
+    return _invert(band, "interval", (a, b))
 
 
 def invert_two_sided(band: SCBand, c: float) -> tuple[RegionSet, RegionSet]:
@@ -148,17 +158,8 @@ def invert_levels(band: SCBand, spec: ThresholdSpec) -> list[RegionSet]:
 
     ``two_sided`` emits the upper and lower RegionSet per level, interleaved.
     """
-    out: list[RegionSet] = []
-    for lv in spec.levels:
-        if spec.set_type == "upper":
-            out.append(invert_upper(band, lv))
-        elif spec.set_type == "lower":
-            out.append(invert_lower(band, lv))
-        elif spec.set_type == "interval":
-            out.append(invert_interval(band, lv[0], lv[1]))
-        else:
-            out.extend(invert_two_sided(band, lv))
-    return out
+    types = ("upper", "lower") if spec.set_type == "two_sided" else (spec.set_type,)
+    return [_invert(band, set_type, lv) for lv in spec.levels for set_type in types]
 
 
 def true_region(true_mean: np.ndarray, region: RegionSet, domain: Domain) -> np.ndarray:
@@ -166,14 +167,8 @@ def true_region(true_mean: np.ndarray, region: RegionSet, domain: Domain) -> np.
     t = np.asarray(true_mean, dtype=float)
     if t.shape != domain.shape:
         raise ValueError(f"true_mean shape {t.shape} does not match domain {domain.shape}")
-    if region.set_type == "upper":
-        member = t >= region.level
-    elif region.set_type == "lower":
-        member = t <= region.level
-    else:
-        a, b = region.level
-        member = (t >= a) & (t <= b)
-    (member,) = _masked(domain, member)
+    a, b = _bounds(region.set_type, region.level)
+    (member,) = _masked(domain, (t >= a) & (t <= b))
     return member
 
 
@@ -202,16 +197,13 @@ def regions_to_json(regions: list[RegionSet], domain: Domain) -> str:
         raise ValueError("no regions to serialize")
     types = {r.set_type for r in regions}
     set_type = regions[0].set_type if len(types) == 1 else "two_sided"
-    levels = []
-    for r in regions:
-        levels.append(list(r.level) if isinstance(r.level, tuple) else r.level)
     doc = {
         "set_type": set_type,
         "set_types": [r.set_type for r in regions],
-        "levels": levels,
-        "inner": [r.inner.ravel().tolist() for r in regions],
-        "outer": [r.outer.ravel().tolist() for r in regions],
-        "estimate": [r.estimate.ravel().tolist() for r in regions],
+        "levels": [r.level for r in regions],
+        "inner": [r.inner.ravel() for r in regions],
+        "outer": [r.outer.ravel() for r in regions],
+        "estimate": [r.estimate.ravel() for r in regions],
         "shape": list(domain.shape),
     }
     return emit_json(doc)
@@ -221,9 +213,7 @@ def regions_from_json(text: str) -> list[RegionSet]:
     """Parse a region file. A missing or malformed field, a per-level field
     whose length differs from ``levels``, or an unknown ``set_types`` value
     raises a ValueError naming the field."""
-    import json
-
-    doc = json.loads(text)
+    doc = _json_loads(text)
     where = "region file"
     shape = tuple(_json_field(doc, "shape", "array", where))
     if not shape or not all(type(v) is int and v > 0 for v in shape):

@@ -545,7 +545,7 @@ def scb_mean_bootstrap(
     a = empirical_quantile(r_max, 1.0 - alpha)
     if se.max(initial=0.0) <= 1e-10 * max(1.0, float(np.abs(eta).max(initial=0.0))):
         warnings.warn("degenerate band: zero sampling variance on the grid")
-    domain = Domain.grid1d(np.arange(grid.n_rows, dtype=float)) if grid.n_rows > 1 else Domain.grid1d([0.0])
+    domain = Domain.grid1d(np.arange(grid.n_rows, dtype=float))
     if len(grid.names) >= 1:
         # a strictly increasing first grid column doubles as the plot axis
         axis = grid.column(grid.names[0])

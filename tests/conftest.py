@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from confbands.core import Domain, assemble_band
 
@@ -30,6 +32,40 @@ def random_band(rng, kind="grid1d", max_len=200, max_side=30, masked=False):
     se = rng.uniform(0.0, 1.5, shape)
     q = float(rng.uniform(0.0, 4.0))
     return assemble_band(eta, se, q, 1.0, 0.05, domain)
+
+
+def _increasing(draw, n):
+    steps = draw(hnp.arrays(float, n, elements=st.floats(1e-3, 1e3)))
+    return draw(st.floats(-1e3, 1e3)) + np.cumsum(steps)
+
+
+@st.composite
+def bands(draw):
+    """Hypothesis strategy: a valid band over a grid1d, (masked) grid2d or
+    discrete domain, with the identity or the logit link."""
+    kind = draw(st.sampled_from(["grid1d", "grid2d", "discrete"]))
+    if kind == "grid1d":
+        domain = Domain.grid1d(_increasing(draw, draw(st.integers(1, 40))))
+    elif kind == "grid2d":
+        n1, n2 = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        mask = draw(st.none() | hnp.arrays(bool, (n1, n2)).filter(np.any))
+        domain = Domain.grid2d(_increasing(draw, n1), _increasing(draw, n2), mask=mask)
+    else:
+        labels = draw(st.lists(st.text(max_size=4), min_size=1, max_size=12, unique=True))
+        domain = Domain.discrete(labels)
+    shape = domain.shape
+    q = draw(st.floats(0.0, 10.0))
+    if draw(st.booleans()):
+        eta = draw(hnp.arrays(float, shape, elements=st.floats(-1e12, 1e12)))
+        se = draw(hnp.arrays(float, shape, elements=st.floats(0.0, 1e6)))
+        return assemble_band(eta, se, q, draw(st.floats(0.1, 10.0)),
+                             draw(st.floats(0.001, 0.999)), domain)
+    # se and q stay away from 0: at a zero half-width, expit(logit(p)) can
+    # miss p by one ulp and assemble_band then rejects the band
+    eta = draw(hnp.arrays(float, shape, elements=st.floats(1e-6, 1.0 - 1e-6)))
+    se = draw(hnp.arrays(float, shape, elements=st.floats(1e-3, 5.0)))
+    return assemble_band(eta, se, max(q, 0.5), 1.0, draw(st.floats(0.001, 0.999)),
+                         domain, link="logit")
 
 
 @pytest.fixture

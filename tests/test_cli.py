@@ -187,6 +187,25 @@ class TestScbGls:
         assert band.domain.kind == "grid2d"
         assert band.alpha == 0.1
 
+    @pytest.mark.parametrize("mutate, named", [
+        (lambda h: {k: v for k, v in h.items() if k != "x"}, "'x'"),
+        (lambda h: [h], "spatial header must be a JSON object"),
+        (lambda h: {**h, "mask": [True] * 19}, "'mask'"),
+        (lambda h: {**h, "shape": [30, 4, 5]}, "'shape'"),
+    ])
+    def test_malformed_header_invalid_input(self, tmp_path, gls_files, capsys, mutate, named):
+        # each of these used to exit as runtime_error or with a numpy
+        # reshape message that named no field
+        hpath, dpath = gls_files
+        header = json.loads(hpath.read_text())
+        hpath.write_text(json.dumps(mutate(header)))
+        code = run(["scb", "gls", "--data", hpath, "--design", dpath, "--w", "1,0",
+                    "--nboot", 200, "--quiet", "--out", tmp_path / "gls.json"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "invalid_input"
+        assert named in err["message"]
+
 
 class TestInvert:
     @pytest.fixture

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from confbands.core import (
     Domain,
@@ -15,7 +16,7 @@ from confbands.core import (
     max_abs_standardized,
     substream,
 )
-from conftest import random_band
+from conftest import bands, random_band
 
 
 class TestEmpiricalQuantile:
@@ -269,9 +270,72 @@ class TestBandJson:
         with pytest.raises(ValueError, match=named):
             band_from_json(json.dumps(doc))
 
+    def test_negative_zero_round_trips(self):
+        # "-0" is a JSON integer; it used to load as +0 and save as "0"
+        band = assemble_band(np.array([-0.0, 1.0]), np.zeros(2), 0.0, 1.0, 0.05,
+                             Domain.grid1d([-0.0, 1.0]))
+        text = band_to_json(band)
+        assert '"eta_hat": [-0, 1]' in text
+        assert band_to_json(band_from_json(text)) == text
+
     def test_non_object_rejected(self):
         with pytest.raises(ValueError, match="band must be a JSON object"):
             band_from_json("[1, 2]")
+
+
+def _per_element(obj) -> str:
+    """Reference emitter, one element at a time: floats at 17 significant
+    digits, NaN as null, everything else as json.dumps writes it."""
+    import json
+
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_per_element(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, np.ndarray):
+        return _per_element(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_per_element(v) for v in obj) + "]"
+    if isinstance(obj, float):
+        return "null" if np.isnan(obj) else format(obj, ".17g")
+    return json.dumps(obj.item() if isinstance(obj, np.generic) else obj)
+
+
+_finite_or_nan = st.floats(allow_infinity=False)
+
+
+class TestJsonProperties:
+    @given(bands())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_band_round_trip_byte_identical(self, band):
+        text = band_to_json(band)
+        back = band_from_json(text)
+        assert band_to_json(back) == text
+        for name in ("eta_hat", "se", "scb_low", "scb_up"):
+            assert np.array_equal(getattr(back, name), getattr(band, name), equal_nan=True)
+
+    @given(
+        hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0),
+                   elements=_finite_or_nan),
+        hnp.arrays(np.int64, st.integers(0, 20)),
+        hnp.arrays(bool, st.integers(0, 20)),
+        st.lists(_finite_or_nan | st.integers() | st.booleans() | st.none() | st.text(),
+                 max_size=8),
+        _finite_or_nan,
+    )
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_emitter_matches_per_element_oracle(self, floats, ints, flags, mixed, scalar):
+        doc = {"floats": floats, "ints": ints, "flags": flags, "mixed": mixed,
+               "scalar": scalar, "np_scalar": np.float64(scalar), "nested": {"t": (1, None)}}
+        assert emit_json(doc) == _per_element(doc) + "\n"
+
+    @given(hnp.arrays(float, st.integers(1, 30), elements=_finite_or_nan),
+           st.data(), st.sampled_from([np.inf, -np.inf]))
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_infinity_refused(self, values, data, inf):
+        values[data.draw(st.integers(0, values.size - 1))] = inf
+        with pytest.raises(ValueError, match="non-finite"):
+            emit_json({"values": values})
+        with pytest.raises(ValueError, match="non-finite"):
+            emit_json({"value": float(inf)})
 
 
 class TestRng:

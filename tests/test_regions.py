@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confbands.core import Domain, SCBand, assemble_band
 from confbands.regions import (
@@ -14,7 +16,7 @@ from confbands.regions import (
     regions_to_json,
     true_region,
 )
-from conftest import random_band
+from conftest import bands, random_band
 
 
 def band_from_surfaces(low, eta, up):
@@ -296,3 +298,17 @@ class TestRegionJson:
         mutate(doc)
         with pytest.raises(ValueError, match=named):
             regions_from_json(json.dumps(doc))
+
+    @given(bands(), st.sampled_from(["upper", "lower", "two_sided", "interval"]),
+           st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=6))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_random_regions_round_trip(self, band, set_type, values):
+        levels = [tuple(sorted((v, -v))) for v in values] if set_type == "interval" else values
+        rs = invert_levels(band, ThresholdSpec(set_type, tuple(levels)))
+        text = regions_to_json(rs, band.domain)
+        back = regions_from_json(text)
+        assert regions_to_json(back, band.domain) == text
+        assert [(r.set_type, r.level) for r in back] == [(r.set_type, r.level) for r in rs]
+        for a, b in zip(rs, back):
+            for name in ("inner", "outer", "estimate"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
