@@ -13,7 +13,6 @@ from .core import (
     band_from_json,
     band_to_json,
     empirical_quantile,
-    max_abs_standardized,
     substream,
 )
 from .functional import (
@@ -66,7 +65,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Domain", "SCBand", "substream", "empirical_quantile",
-    "assemble_band", "max_abs_standardized", "band_to_json", "band_from_json",
+    "assemble_band", "band_to_json", "band_from_json",
     "ThresholdSpec", "RegionSet", "ContainmentSummary", "invert_upper",
     "invert_lower", "invert_interval", "invert_two_sided", "invert_levels",
     "check_containment", "regions_to_json", "regions_from_json",

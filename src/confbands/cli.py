@@ -17,7 +17,9 @@ import sys
 import numpy as np
 
 from . import functional, geospatial, plotting, regions, regression, simulate
-from .core import _json_bools, _json_field, _json_floats, band_from_json, band_to_json, emit_json
+from .core import (
+    _json_bools, _json_field, _json_floats, _read_csv, band_from_json, band_to_json, emit_json,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -51,42 +53,39 @@ def _parse_levels(text: str, set_type: str):
 
 
 def _load_truth(path, shape):
-    if path.endswith(".json"):
-        with open(path) as fh:
-            vals = np.asarray(json.load(fh), dtype=float)
-    else:
-        with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-        try:
-            vals = np.asarray([[float(c) for c in row] for row in rows])
-        except ValueError:  # header row
-            vals = np.asarray([[float(c) for c in row] for row in rows[1:]])
-    return vals.reshape(shape)
+    """The true mean in ``shape`` from a JSON array or a CSV of numbers
+    (with or without a header row)."""
+    try:
+        if path.endswith(".json"):
+            with open(path) as fh:
+                vals = np.array(json.load(fh), dtype=float)
+        else:
+            with open(path, newline="") as fh:
+                rows = [row for row in csv.reader(fh) if row]
+            try:
+                vals = np.array([[float(c) for c in row] for row in rows])
+            except ValueError:  # header row
+                vals = np.array([[float(c) for c in row] for row in rows[1:]])
+        return vals.reshape(shape)
+    except (TypeError, ValueError, csv.Error):
+        raise ValueError(f"true mean file {path!r} must hold numbers of shape {shape}") from None
+
+
+def _fosr_cell(name, text):
+    if name == "id":
+        return text
+    if name != "time" and text.strip() in ("", "NA", "NaN", "nan"):
+        return np.nan
+    return float(text)
 
 
 def _load_fosr_csv(path):
-    """Long-format CSV with columns id, time, outcome, then covariates."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header:
-            raise ValueError(f"{path}: empty CSV")
-        rows = [row for row in reader if row]
+    """Long-format CSV with columns id, time, outcome, then covariates;
+    an empty, NA or NaN outcome cell is a missing observation."""
     required = ("id", "time", "outcome")
-    for name in required:
-        if name not in header:
-            raise ValueError(f"{path}: missing required column {name!r}")
-    col = {name: header.index(name) for name in header}
-    ids = [row[col["id"]] for row in rows]
-    times = [float(row[col["time"]]) for row in rows]
-
-    def cell(row, j):
-        return np.nan if row[j].strip() in ("", "NA", "NaN", "nan") else float(row[j])
-
-    values = [cell(row, col["outcome"]) for row in rows]
-    covnames = [n for n in header if n not in required]
-    covars = {n: [cell(row, col[n]) for row in rows] for n in covnames}
-    return functional.FunctionalDataset.from_long(ids, times, values, covars)
+    header, cols = _read_csv(path, _fosr_cell, required)
+    covars = {n: cols[n] for n in header if n not in required}
+    return functional.FunctionalDataset.from_long(cols["id"], cols["time"], cols["outcome"], covars)
 
 
 def _load_spatial(header_path, mask_path=None):

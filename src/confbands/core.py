@@ -9,6 +9,7 @@ constructor other code should use.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
 
@@ -20,7 +21,6 @@ __all__ = [
     "substream",
     "empirical_quantile",
     "assemble_band",
-    "max_abs_standardized",
     "band_to_json",
     "band_from_json",
 ]
@@ -64,20 +64,14 @@ class Domain:
             if len(set(self.labels)) != len(self.labels):
                 raise ValueError("labels must be unique")
         else:
-            c1 = np.asarray(self.coords1, dtype=float)
-            if c1.ndim != 1 or c1.size == 0:
-                raise ValueError("coords1 must be a nonempty 1-D sequence")
-            if c1.size > 1 and not np.all(np.diff(c1) > 0):
-                raise ValueError("coords1 must be strictly increasing")
-            object.__setattr__(self, "coords1", c1)
-            if self.kind == "grid2d":
-                c2 = np.asarray(self.coords2, dtype=float)
-                if c2.ndim != 1 or c2.size == 0:
-                    raise ValueError("coords2 must be a nonempty 1-D sequence")
-                if c2.size > 1 and not np.all(np.diff(c2) > 0):
-                    raise ValueError("coords2 must be strictly increasing")
-                object.__setattr__(self, "coords2", c2)
-            elif self.coords2 is not None:
+            for name in ("coords1", "coords2") if self.kind == "grid2d" else ("coords1",):
+                c = np.asarray(getattr(self, name), dtype=float)
+                if c.ndim != 1 or c.size == 0:
+                    raise ValueError(f"{name} must be a nonempty 1-D sequence")
+                if c.size > 1 and not np.all(np.diff(c) > 0):
+                    raise ValueError(f"{name} must be strictly increasing")
+                object.__setattr__(self, name, c)
+            if self.kind == "grid1d" and self.coords2 is not None:
                 raise ValueError("coords2 only valid for grid2d domains")
         if self.mask is not None:
             m = np.asarray(self.mask, dtype=bool)
@@ -190,8 +184,10 @@ def _band_limits(eta_hat, se, q, tau, link):
     half = (q / tau) * se
     if link == "identity":
         return eta_hat - half, eta_hat + half
+    # expit(logit(p)) can miss p by one ulp, so a narrow logit band is
+    # clamped to bracket p
     lin = _logit(eta_hat)
-    return _expit(lin - half), _expit(lin + half)
+    return np.minimum(_expit(lin - half), eta_hat), np.maximum(_expit(lin + half), eta_hat)
 
 
 def empirical_quantile(samples, level: float) -> float:
@@ -253,29 +249,6 @@ def assemble_band(
     )
     band.validate()
     return band
-
-
-def max_abs_standardized(delta, se, mask=None) -> float:
-    """max over unmasked cells of |delta| / se.
-
-    A cell with se == 0 and delta == 0 contributes 0 (a point estimated
-    exactly with zero variance is trivially covered); se == 0 against a
-    nonzero delta is an error.
-    """
-    delta = np.asarray(delta, dtype=float)
-    se = np.asarray(se, dtype=float)
-    if delta.shape != se.shape:
-        raise ValueError(f"shape mismatch: {delta.shape} vs {se.shape}")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != delta.shape:
-            raise ValueError("mask shape mismatch")
-        delta = delta[mask]
-        se = se[mask]
-    stat, degenerate = _studentized_max(delta.ravel(), se.ravel())
-    if degenerate:
-        raise ValueError("degenerate SE")
-    return float(stat)
 
 
 def _studentized_max(dev, se):
@@ -370,6 +343,39 @@ def _json_bools(value, what: str, shape) -> np.ndarray:
     if not np.all((out == 0) | (out == 1)):
         raise ValueError(f"{what} must hold only true/false")
     return out.astype(bool).reshape(shape)
+
+
+def _read_csv(path, parse=lambda name, cell: float(cell), required=()):
+    """(header, {column name: [parse(name, cell), ...]}) of a CSV file with
+    one header row; blank lines are skipped. An empty file, a repeated or
+    missing ``required`` column name, a row of the wrong length or a cell
+    that ``parse`` rejects raises a ValueError naming the file, and the line
+    and column."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if not header:
+                raise ValueError(f"{path}: empty CSV")
+            if len(set(header)) != len(header):
+                raise ValueError(f"{path}: column names must be unique")
+            for name in required:
+                if name not in header:
+                    raise ValueError(f"{path}: missing required column {name!r}")
+            columns = {name: [] for name in header}
+            for row in filter(None, reader):
+                if len(row) != len(header):
+                    raise ValueError(f"{path} line {reader.line_num}: {len(row)} cells, "
+                                     f"expected {len(header)}")
+                for name, cell in zip(header, row):
+                    try:
+                        columns[name].append(parse(name, cell))
+                    except ValueError:
+                        raise ValueError(f"{path} line {reader.line_num}, column {name!r}: "
+                                         f"{cell!r} is not a number") from None
+        except csv.Error as exc:
+            raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+    return header, columns
 
 
 def _domain_from_dict(d) -> Domain:

@@ -47,7 +47,8 @@ __all__ = [
     "multiplier_max_stats",
 ]
 
-_MULTIPLIER_KINDS = ("rademacher", "gaussian", "mammen")
+# smoothing parameters tried by the mean model's GCV, smallest first
+_GCV_LADDER = np.logspace(-6, 4, 21)
 
 # Mammen two-point distribution: the unique mean-0, variance-1,
 # third-moment-1 two-point law.
@@ -106,6 +107,8 @@ class FunctionalDataset:
         common grid of unique times; covariates are per-subject constants."""
         ids = np.asarray(ids)
         times = np.asarray(times, dtype=float)
+        if not np.all(np.isfinite(times)):
+            raise ValueError("times must be finite")
         values = np.asarray(values, dtype=float)
         uniq_ids = list(dict.fromkeys(ids.tolist()))
         grid = np.unique(times)
@@ -139,9 +142,9 @@ def bspline_basis(times, n_basis: int) -> np.ndarray:
     return BSpline.design_matrix(x, knots, 3).toarray()
 
 
-def difference_penalty(n_basis: int, order: int = 2) -> np.ndarray:
-    """Squared difference penalty D'D of the given order (PSD)."""
-    D = np.diff(np.eye(n_basis), n=order, axis=0)
+def difference_penalty(n_basis: int) -> np.ndarray:
+    """Squared second-difference penalty D'D (PSD)."""
+    D = np.diff(np.eye(n_basis), n=2, axis=0)
     return D.T @ D
 
 
@@ -211,24 +214,18 @@ class FoSRFit:
 
 
 def _fpca_from_residuals(E: np.ndarray, dt: float, pve: float, n_components):
-    """Eigendecomposition of the residual sample covariance (complete rows,
-    pairwise-complete fallback).
+    """Eigendecomposition of the pairwise-complete residual covariance:
+    entry (s, t) pools every row observed at both s and t, as PACE does
+    (Yao, Mueller & Wang, JASA 2005). On complete rows it is the sample
+    covariance.
 
     Returns (Phi, sigma_k2, noise_var); eigenfunctions are scaled to be
     orthonormal under the grid inner product (Phi' Phi * dt = I).
     """
-    complete = ~np.isnan(E).any(axis=1)
-    if complete.sum() >= 2:
-        Ec = E[complete]
-        mu = Ec.mean(axis=0)
-        Zc = Ec - mu
-        C = Zc.T @ Zc / (Zc.shape[0] - 1)
-    else:
-        # pairwise-complete fallback when almost every row has a gap
-        M = (~np.isnan(E)).astype(float)
-        Z = np.nan_to_num(E - np.nanmean(E, axis=0))
-        counts = M.T @ M
-        C = (Z.T @ Z) / np.maximum(counts - 1, 1)
+    obs = ~np.isnan(E)
+    Z = np.where(obs, E, 0.0)
+    Z = np.where(obs, Z - Z.sum(axis=0) / obs.sum(axis=0), 0.0)
+    C = (Z.T @ Z) / np.maximum(obs.T @ obs.astype(float) - 1, 1)
     T = E.shape[1]
     vals, vecs = np.linalg.eigh(C)
     vals = vals[::-1]
@@ -298,14 +295,13 @@ def fit_fosr(
     k_basis: int = 30,
     pve: float = 0.95,
     n_components: int | None = None,
-    gcv_ladder=None,
 ) -> FoSRFit:
     """Fit the mean model, FPCA the residuals, then refit with subject
     score terms.
 
     The mean model smoothing parameter is chosen by GCV over a fixed
-    log-spaced ladder (21 points spanning 1e-6..1e4 by default). Score terms
-    carry ridge penalty noise_variance / score_variance, the random-effect
+    log-spaced ladder of 21 points spanning 1e-6..1e4. Score terms carry
+    ridge penalty noise_variance / score_variance, the random-effect
     equivalent, with score variances floored at 1e-10. The coefficient
     covariance is the between-subject sandwich of leave-one-subject-out
     contributions, which tracks the extra variability from estimating the
@@ -349,10 +345,8 @@ def fit_fosr(
     Zty = Zty_i.sum(axis=0)
     yty = float(np.sum(Y0**2))
     n_obs = int(obs.sum())
-    if gcv_ladder is None:
-        gcv_ladder = np.logspace(-6, 4, 21)
-    best = (np.inf, gcv_ladder[0], None)
-    for lam in gcv_ladder:
+    best = (np.inf, _GCV_LADDER[0], None)
+    for lam in _GCV_LADDER:
         A = ZtZ + lam * S
         try:
             Ainv = np.linalg.inv(A)
@@ -393,7 +387,7 @@ def fit_fosr(
     # effects, and carrying it over both biases the coefficient functions and
     # understates their variance once the score terms absorb that variation.
     ridge = noise / np.maximum(sigma_k2, 1e-10)
-    lam_refit = float(np.min(gcv_ladder))
+    lam_refit = float(_GCV_LADDER[0])
     A12 = kron_x(Bt_O @ Phi)  # (n, p, K): Z_i' U_i
     A22inv = np.linalg.inv((Phi.T[None, :, :] * obs[:, None, :]) @ Phi + np.diag(ridge))
     G = A12 @ A22inv

@@ -147,8 +147,6 @@ class GLSFit:
     beta: np.ndarray  # (n_x, n_y, p), NaN at masked spots
     eta: np.ndarray  # (n_x, n_y)
     se: np.ndarray  # (n_x, n_y)
-    w: np.ndarray
-    design: np.ndarray
 
 
 def _gls_solve(V, X, Z):
@@ -268,7 +266,7 @@ def fit_gls_grid(
         out[mask] = values
         return out
 
-    return GLSFit(on_grid(beta.T), on_grid(w @ beta), on_grid(se), w, X), contrib
+    return GLSFit(on_grid(beta.T), on_grid(w @ beta), on_grid(se)), contrib
 
 
 def scb_gls(
@@ -279,19 +277,17 @@ def scb_gls(
     n_boot: int = 1000,
     alpha: float = 0.1,
     seed: int = 0,
-    weights: str = "rademacher",
-    sd_method: str = "t",
 ) -> SCBand:
     """Simultaneous band for eta(s) = w'beta(s) over the unmasked grid.
 
-    Fits GLS per spot, then runs the multiplier-t procedure on whitened
-    per-observation contributions to eta_hat (one multiplier per observation,
-    shared across spots) to calibrate the max statistic. Masked spots carry
-    no band values.
+    Fits GLS per spot, then runs the Rademacher multiplier-t procedure on
+    whitened per-observation contributions to eta_hat (one multiplier per
+    observation, shared across spots) to calibrate the max statistic. Masked
+    spots carry no band values.
     """
     fit, contrib = fit_gls_grid(data, design, w, corr)
     rng = substream(seed)
-    maxima = multiplier_max_stats(contrib, n_boot, weights, sd_method, rng)
+    maxima = multiplier_max_stats(contrib, n_boot, rng=rng)
     q = empirical_quantile(maxima, 1.0 - alpha)
     mask = data.mask_array()
     domain = Domain.grid2d(data.x, data.y, mask=None if data.mask is None else mask)

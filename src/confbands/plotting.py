@@ -52,8 +52,6 @@ class PlotSpec:
     level_label: bool = True
     min_size: int = 0
     label_color: str = "black"
-    width: int = 640
-    height: int = 480
 
     def __post_init__(self):
         if len(self.levels) == 0:
@@ -215,24 +213,29 @@ def _fmt(v: float) -> str:
     return format(float(v), ".2f")
 
 
-class _Svg:
-    def __init__(self, width, height):
-        self.parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">'
-        ]
+_WIDTH, _HEIGHT = 640, 480
+_MARGIN = 46.0
 
-    def rect(self, x, y, w, h, fill, opacity=None):
-        op = f' fill-opacity="{opacity}"' if opacity is not None else ""
+
+class _Svg:
+    """An SVG document of the fixed plot size on a white background."""
+
+    def __init__(self):
+        self.parts = [
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+            f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">'
+        ]
+        self.rect(0, 0, _WIDTH, _HEIGHT, "#ffffff")
+
+    def rect(self, x, y, w, h, fill):
         self.parts.append(
             f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" '
-            f'fill="{fill}"{op}/>'
+            f'fill="{fill}"/>'
         )
 
-    def polygon(self, pts, fill, opacity=None):
-        op = f' fill-opacity="{opacity}"' if opacity is not None else ""
+    def polygon(self, pts, fill, opacity):
         coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
-        self.parts.append(f'<polygon points="{coords}" fill="{fill}"{op}/>')
+        self.parts.append(f'<polygon points="{coords}" fill="{fill}" fill-opacity="{opacity}"/>')
 
     def polyline(self, pts, stroke, width=1.5):
         coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
@@ -255,9 +258,6 @@ class _Svg:
 
     def tostring(self) -> str:
         return "".join(self.parts) + "</svg>"
-
-
-_MARGIN = 46.0
 
 
 def _scale(lo, hi, out_lo, out_hi):
@@ -298,17 +298,11 @@ def _segments_from_bools(include):
     return runs
 
 
-def _region_masks(band: SCBand, level: float, set_type: str):
-    invert = regions.invert_upper if set_type == "upper" else regions.invert_lower
-    r = invert(band, level)
-    return r.inner, r.estimate, r.outer
-
-
 def _render_1d(band: SCBand, spec: PlotSpec, levels) -> str:
     x = band.domain.coords1
     if band.domain.kind == "discrete":
         x = np.arange(len(band.domain.labels), dtype=float)
-    w, h = spec.width, spec.height
+    w, h = _WIDTH, _HEIGHT
     finite = np.concatenate([band.scb_low, band.scb_up, np.asarray(levels, dtype=float)])
     finite = finite[np.isfinite(finite)]
     ylo, yhi = float(finite.min()), float(finite.max())
@@ -316,8 +310,7 @@ def _render_1d(band: SCBand, spec: PlotSpec, levels) -> str:
     sx = _scale(float(x[0]), float(x[-1]) if x.size > 1 else float(x[0]) + 1.0,
                 _MARGIN, w - _MARGIN / 2)
     sy = _scale(ylo - pad, yhi + pad, h - _MARGIN, _MARGIN / 2)
-    svg = _Svg(w, h)
-    svg.rect(0, 0, w, h, "#ffffff")
+    svg = _Svg()
     # gray band polygon and estimate curve, split at masked cells
     m = band.domain.mask_array()
     for a, b in _segments_from_bools(m.tolist()):
@@ -329,13 +322,14 @@ def _render_1d(band: SCBand, spec: PlotSpec, levels) -> str:
             [(sx(xi), sy(v)) for xi, v in zip(xs, band.eta_hat[a:b + 1])],
             "#000000", 1.8,
         )
+    invert = regions.invert_upper if spec.set_type == "upper" else regions.invert_lower
     for level in levels:
-        inner, est, outer = _region_masks(band, level, spec.set_type)
+        r = invert(band, level)
         ylevel = sy(level)
         layers = (
-            (outer, OUTER_COLOR),
-            (est, ESTIMATE_1D_COLOR),
-            (inner, INNER_COLOR),
+            (r.outer, OUTER_COLOR),
+            (r.estimate, ESTIMATE_1D_COLOR),
+            (r.inner, INNER_COLOR),
         )
         for include, color in layers:
             for a, b in _segments_from_bools(include.tolist()):
@@ -354,11 +348,10 @@ def _render_2d(band: SCBand, spec: PlotSpec, levels) -> str:
     x1 = band.domain.coords1
     x2 = band.domain.coords2
     mask = band.domain.mask_array()
-    w, h = spec.width, spec.height
+    w, h = _WIDTH, _HEIGHT
     sx = _scale(float(x1[0]), float(x1[-1]), _MARGIN, w - _MARGIN / 2)
     sy = _scale(float(x2[0]), float(x2[-1]), h - _MARGIN, _MARGIN / 2)
-    svg = _Svg(w, h)
-    svg.rect(0, 0, w, h, "#ffffff")
+    svg = _Svg()
     vals = band.eta_hat[mask]
     vlo, vhi = float(vals.min()), float(vals.max())
     span = vhi - vlo if vhi > vlo else 1.0
@@ -384,19 +377,17 @@ def _render_2d(band: SCBand, spec: PlotSpec, levels) -> str:
                 best = pts
         return best
 
+    # the outer region of an upper set is bounded by the scb_up contour, of
+    # a lower set by the scb_low contour
+    outer, inner = band.scb_up, band.scb_low
+    if spec.set_type == "lower":
+        outer, inner = inner, outer
+    surfaces = (
+        (outer, OUTER_COLOR),
+        (band.eta_hat, ESTIMATE_2D_COLOR),
+        (inner, INNER_COLOR),
+    )
     for level in levels:
-        if spec.set_type == "upper":
-            surfaces = (
-                (band.scb_up, OUTER_COLOR),
-                (band.eta_hat, ESTIMATE_2D_COLOR),
-                (band.scb_low, INNER_COLOR),
-            )
-        else:
-            surfaces = (
-                (band.scb_low, OUTER_COLOR),
-                (band.eta_hat, ESTIMATE_2D_COLOR),
-                (band.scb_up, INNER_COLOR),
-            )
         longest = None
         for fieldvals, color in surfaces:
             best = draw_contours(np.nan_to_num(fieldvals, nan=0.0), level, color)

@@ -20,7 +20,6 @@ the chunk size never changes a result.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -31,6 +30,7 @@ from .core import (
     Domain,
     SCBand,
     _expit,
+    _read_csv,
     _studentized_max,
     assemble_band,
     empirical_quantile,
@@ -94,19 +94,8 @@ class Table:
 
     @classmethod
     def from_csv(cls, path) -> "Table":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header:
-                raise ValueError(f"{path}: empty CSV")
-            rows = [row for row in reader if row]
-        data = {name: [] for name in header}
-        for row in rows:
-            if len(row) != len(header):
-                raise ValueError(f"{path}: ragged CSV row {row!r}")
-            for name, cell in zip(header, row):
-                data[name].append(float(cell))
-        return cls(tuple(header), {k: np.asarray(v) for k, v in data.items()})
+        header, columns = _read_csv(path)
+        return cls(tuple(header), columns)
 
 
 @dataclass(frozen=True)
@@ -225,32 +214,47 @@ def parse_formula(text: str) -> ModelSpec:
     return ModelSpec(response, tuple(terms))
 
 
+def _expand(spec: ModelSpec, table: Table) -> ModelSpec:
+    """``spec`` with '.' replaced by one main term per non-response column
+    of ``table``, in table order."""
+    terms: list[Term] = []
+    for term in spec.terms:
+        if term.kind == "all":
+            terms += [Term("main", name) for name in table.names if name != spec.response]
+        else:
+            terms.append(term)
+    return ModelSpec(spec.response, tuple(terms))
+
+
+def _design(terms, table: Table, what: str) -> np.ndarray:
+    """Design matrix with a leading intercept and one column per expanded
+    term: the term's column of ``table``, raised to the term's power."""
+    missing = sorted({t.name for t in terms} - set(table.names))
+    if missing:
+        raise ValueError(f"{what} is missing columns: {', '.join(missing)}")
+    cols = [np.ones(table.n_rows)]
+    for t in terms:
+        cols.append(table.column(t.name) ** t.power if t.kind == "power" else table.column(t.name))
+    X = np.column_stack(cols)
+    if not np.all(np.isfinite(X)):
+        raise ValueError(f"non-finite values in modeled columns of the {what}")
+    return X
+
+
 def build_design(table: Table, spec: ModelSpec) -> tuple[np.ndarray, list[str], np.ndarray]:
     """Expand a ModelSpec against a table: (X with leading intercept,
     term names, response vector). '.' expands to every non-response column
     in table order."""
     if spec.response not in table.columns:
         raise ValueError(f"response column {spec.response!r} not in table")
-    cols: list[np.ndarray] = [np.ones(table.n_rows)]
-    names: list[str] = ["intercept"]
-    for term in spec.terms:
-        if term.kind == "all":
-            for name in table.names:
-                if name != spec.response:
-                    cols.append(table.column(name))
-                    names.append(name)
-        elif term.kind == "main":
-            cols.append(table.column(term.name))
-            names.append(term.name)
-        else:
-            cols.append(table.column(term.name) ** term.power)
-            names.append(term.label())
+    terms = _expand(spec, table).terms
+    names = ["intercept"] + [t.label() for t in terms]
     if len(set(names)) != len(names):
         raise ValueError("duplicate design columns after expansion")
-    X = np.column_stack(cols)
+    X = _design(terms, table, "data")
     y = table.column(spec.response)
-    if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
-        raise ValueError("non-finite values in modeled columns")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("non-finite values in the response column")
     return X, names, y
 
 
@@ -263,7 +267,7 @@ class FittedGLM:
     beta: np.ndarray
     cov_beta: np.ndarray
     term_names: tuple[str, ...]
-    spec: ModelSpec
+    spec: ModelSpec  # with '.' expanded against the fitted table
     sigma2: float | None = None
 
 
@@ -278,49 +282,37 @@ def _check_rank(X: np.ndarray, names: list[str]) -> None:
         raise ValueError(f"design is rank deficient; collinear columns: {', '.join(bad)}")
 
 
-def fit_ols(table: Table, spec: ModelSpec) -> FittedGLM:
-    """Least squares fit; cov_beta = sigma2 * (X'X)^-1 with
-    sigma2 = RSS / (n - p)."""
+def _fit(table: Table, spec: ModelSpec, family: str):
+    """Point fit of ``family`` on unit weights. Returns (FittedGLM, X, y)."""
+    spec = _expand(spec, table)
     X, names, y = build_design(table, spec)
+    if family == "binomial" and not np.all(np.isin(y, (0.0, 1.0))):
+        raise ValueError("logistic response must take values in {0, 1}")
     n, p = X.shape
     if n <= p:
         raise ValueError(f"need more rows ({n}) than design columns ({p})")
     _check_rank(X, names)
-    beta, cov, ok, sigma2 = _ols_refit(X, y, np.ones((1, n)))
+    beta, cov, ok, sigma2 = _refit(family, X, y, np.ones((1, n)))
     if not ok[0]:
-        raise ValueError("least squares failed: singular normal equations")
-    return FittedGLM("gaussian", beta[0], cov[0], tuple(names), spec, sigma2=float(sigma2[0]))
-
-
-def fit_logistic(table: Table, spec: ModelSpec, max_iter: int = 50, tol: float = 1e-8) -> FittedGLM:
-    """Logistic fit by IRLS from beta = 0; cov_beta = (X'WX)^-1 at
-    convergence, where convergence is max |X'(y - p)| < tol."""
-    X, names, y = build_design(table, spec)
-    if not np.all(np.isin(y, (0.0, 1.0))):
-        raise ValueError("logistic response must take values in {0, 1}")
-    if table.n_rows <= X.shape[1]:
-        raise ValueError("need more rows than design columns")
-    _check_rank(X, names)
-    beta, cov, ok = _irls_refit(X, y, np.ones((1, table.n_rows)), max_iter, tol)
-    if not ok[0]:
+        if family == "gaussian":
+            raise ValueError("least squares failed: singular normal equations")
         diverged = np.linalg.norm(beta[0]) > SEPARATION_NORM
         raise ValueError("quasi-separation" if diverged else "IRLS failed")
-    return FittedGLM("binomial", beta[0], cov[0], tuple(names), spec)
+    sigma2 = None if sigma2 is None else float(sigma2[0])
+    return FittedGLM(family, beta[0], cov[0], tuple(names), spec, sigma2), X, y
 
 
-def _grid_design(fit: FittedGLM, grid: Table) -> np.ndarray:
-    needed = {t.name for t in fit.spec.terms if t.kind in ("main", "power")}
-    missing = needed - set(grid.names)
-    if missing:
-        raise ValueError(f"grid is missing columns: {', '.join(sorted(missing))}")
-    cols = [np.ones(grid.n_rows)]
-    for name in fit.term_names[1:]:
-        if name.startswith("I(") and name.endswith(")"):
-            var, k = name[2:-1].split("^")
-            cols.append(grid.column(var) ** int(k))
-        else:
-            cols.append(grid.column(name))
-    return np.column_stack(cols)
+def fit_ols(table: Table, spec: ModelSpec) -> FittedGLM:
+    """Least squares fit; cov_beta = sigma2 * (X'X)^-1 with
+    sigma2 = RSS / (n - p)."""
+    return _fit(table, spec, "gaussian")[0]
+
+
+def fit_logistic(table: Table, spec: ModelSpec) -> FittedGLM:
+    """Logistic fit by IRLS from beta = 0; cov_beta = (X'WX)^-1 at
+    convergence, where convergence is max |X'(y - p)| < 1e-8 within 50
+    Newton steps."""
+    return _fit(table, spec, "binomial")[0]
 
 
 def predict_mean(fit: FittedGLM, grid: Table) -> tuple[np.ndarray, np.ndarray]:
@@ -329,7 +321,7 @@ def predict_mean(fit: FittedGLM, grid: Table) -> tuple[np.ndarray, np.ndarray]:
     For the binomial family both are on the linear-predictor scale; the
     back-transform happens only when a band is assembled.
     """
-    G = _grid_design(fit, grid)
+    G = _design(fit.spec.terms, grid, "grid")
     eta = G @ fit.beta
     se = np.sqrt(np.maximum(np.einsum("gp,pq,gq->g", G, fit.cov_beta, G), 0.0))
     return eta, se
@@ -399,24 +391,25 @@ def _ols_refit(X, y, C):
     return beta, cov, ok, sigma2
 
 
-def _irls_refit(X, y, C, max_iter=50, tol=1e-8):
-    """Weighted logistic IRLS per row of C, all from beta = 0. Returns
-    (beta, cov, ok); failures (separation, singular information, no
-    convergence) are flagged, not raised."""
+def _irls_refit(X, y, C):
+    """Weighted logistic IRLS per row of C, all from beta = 0, converged
+    when max |score| < 1e-8 within 50 Newton steps. Returns (beta, cov, ok);
+    failures (separation, singular information, no convergence) are flagged,
+    not raised."""
     B = len(C)
     p = X.shape[1]
     beta = np.zeros((B, p))
     ok = np.ones(B, dtype=bool)
     active = np.ones(B, dtype=bool)
     info = np.zeros((B, p, p))
-    for _ in range(max_iter):
+    for _ in range(50):
         act = np.flatnonzero(active)
         if not act.size:
             break
         c = C[act]
         prob = _expit(_rowwise(beta[act], X.T))
         score = _rowwise(c * (y - prob), X)
-        conv = np.max(np.abs(score), axis=1) < tol
+        conv = np.max(np.abs(score), axis=1) < 1e-8
         w = np.maximum(prob * (1.0 - prob), 1e-12)
         info[act] = _weighted_gram(X, c * w)
         active[act[conv]] = False
@@ -437,28 +430,26 @@ def _irls_refit(X, y, C, max_iter=50, tol=1e-8):
     return beta, cov, ok
 
 
-def _fit_family(table, spec, family):
+def _refit(family, X, y, C):
+    """Count-weighted refits of ``family``: (beta, cov, ok, sigma2), where
+    sigma2 is None for the binomial family."""
     if family == "gaussian":
-        return fit_ols(table, spec)
-    if family == "binomial":
-        return fit_logistic(table, spec)
-    raise ValueError(f"unknown family {family!r}")
+        return _ols_refit(X, y, C)
+    return (*_irls_refit(X, y, C), None)
 
 
 _FAMILY_ALIASES = {
     "gaussian": "gaussian",
     "linear": "gaussian",
     "binomial": "binomial",
-    "binomial-logit": "binomial",
     "logistic": "binomial",
 }
 
 
 def _canon_family(family: str) -> str:
-    try:
-        return _FAMILY_ALIASES[family]
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}") from None
+    if family not in _FAMILY_ALIASES:
+        raise ValueError(f"unknown family {family!r}")
+    return _FAMILY_ALIASES[family]
 
 
 def _bootstrap_max_stats(X, y, family, stat_design, center, n_boot, seed):
@@ -499,10 +490,7 @@ def _bootstrap_max_stats(X, y, family, stat_design, center, n_boot, seed):
 def _replicate_max_stats(X, y, family, C, stat_design, center):
     """Refit on the count weights C and studentize each replicate's
     deviation from ``center`` by its own SE. Returns (max stats, ok)."""
-    if family == "gaussian":
-        beta, cov, ok, _ = _ols_refit(X, y, C)
-    else:
-        beta, cov, ok = _irls_refit(X, y, C)
+    beta, cov, ok, _ = _refit(family, X, y, C)
     stat = _rowwise(beta, stat_design.T)
     var = np.sum(np.matmul(stat_design, cov) * stat_design, axis=2)
     se = np.sqrt(np.maximum(var, 0.0))
@@ -536,21 +524,19 @@ def scb_mean_bootstrap(
         raise ValueError("grid must be nonempty")
     if n_boot < 100:
         raise ValueError("n_boot must be at least 100")
-    fit = _fit_family(table, spec, family)
-    X, _, y = build_design(table, spec)
+    fit, X, y = _fit(table, spec, family)
     eta, se = predict_mean(fit, grid)
-    G_boot = _grid_design(fit, grid_boot if grid_boot is not None else grid)
+    G_boot = _design(fit.spec.terms, grid_boot if grid_boot is not None else grid, "grid")
     center = G_boot @ fit.beta
     r_max = _bootstrap_max_stats(X, y, family, G_boot, center, n_boot, seed)
     a = empirical_quantile(r_max, 1.0 - alpha)
     if se.max(initial=0.0) <= 1e-10 * max(1.0, float(np.abs(eta).max(initial=0.0))):
         warnings.warn("degenerate band: zero sampling variance on the grid")
-    domain = Domain.grid1d(np.arange(grid.n_rows, dtype=float))
-    if len(grid.names) >= 1:
-        # a strictly increasing first grid column doubles as the plot axis
-        axis = grid.column(grid.names[0])
-        if axis.size == 1 or np.all(np.diff(axis) > 0):
-            domain = Domain.grid1d(axis)
+    # a strictly increasing first grid column doubles as the plot axis
+    axis = grid.column(grid.names[0])
+    if not np.all(np.diff(axis) > 0):
+        axis = np.arange(grid.n_rows, dtype=float)
+    domain = Domain.grid1d(axis)
     if family == "binomial":
         return assemble_band(_expit(eta), se, a, 1.0, alpha, domain, link="logit")
     return assemble_band(eta, se, a, 1.0, alpha, domain)
@@ -573,8 +559,7 @@ def scb_coef_bootstrap(
     family = _canon_family(family)
     if n_boot < 100:
         raise ValueError("n_boot must be at least 100")
-    fit = _fit_family(table, spec, family)
-    X, _, y = build_design(table, spec)
+    fit, X, y = _fit(table, spec, family)
     p = len(fit.beta)
     se = np.sqrt(np.maximum(np.diag(fit.cov_beta), 0.0))
     r_max = _bootstrap_max_stats(X, y, family, np.eye(p), fit.beta, n_boot, seed)

@@ -62,6 +62,20 @@ class TestScbLinear:
         assert err["error"] == "parse_error"
         assert "context" in err and "message" in err
 
+    @pytest.mark.parametrize("which", ["data", "grid"])
+    def test_non_numeric_cell_named(self, tmp_path, regression_files, capsys, which):
+        data, grid = regression_files
+        path = data if which == "data" else grid
+        lines = path.read_text().splitlines()
+        lines[2] = "oops," + lines[2].split(",", 1)[1]
+        path.write_text("\n".join(lines) + "\n")
+        code = run(["scb", "linear", "--data", data, "--model", "y ~ x1", "--grid", grid,
+                    "--nboot", 150, "--quiet"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "invalid_input"
+        assert err["message"] == f"{path} line 3, column 'x1': 'oops' is not a number"
+
     def test_missing_file_error_json(self, tmp_path, capsys):
         code = run(["scb", "linear", "--data", tmp_path / "nope.csv",
                     "--model", "y ~ x", "--grid", tmp_path / "nope.csv", "--quiet"])
@@ -150,6 +164,22 @@ class TestScbFosr:
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "id" in err["message"]
+
+    @pytest.mark.parametrize("damage, named", [
+        (lambda lines: lines[:5] + [lines[5].rsplit(",", 1)[0]] + lines[6:], "line 6: 3 cells"),
+        (lambda lines: lines[:3] + ["s1,0.5,abc,1"] + lines[4:], "line 4, column 'outcome'"),
+        (lambda lines: lines[:3] + ["s1,soon,1,1"] + lines[4:], "line 4, column 'time'"),
+        (lambda lines: ["id,time,outcome,id"] + lines[1:], "column names must be unique"),
+    ])
+    def test_malformed_csv_invalid_input(self, tmp_path, fosr_csv, capsys, damage, named):
+        # a short row used to exit as runtime_error "list index out of range"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(damage(fosr_csv.read_text().splitlines())) + "\n")
+        code = run(["scb", "fosr", "--data", bad, "--quiet"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "invalid_input"
+        assert str(bad) in err["message"] and named in err["message"]
 
 
 class TestScbGls:

@@ -13,7 +13,6 @@ from confbands.core import (
     band_to_json,
     emit_json,
     empirical_quantile,
-    max_abs_standardized,
     substream,
 )
 from conftest import bands, random_band
@@ -115,33 +114,17 @@ class TestAssembleBand:
         assert np.all(band.scb_low <= prob) and np.all(prob <= band.scb_up)
         band.validate()
 
-
-class TestMaxAbsStandardized:
-    def test_plain_max(self):
-        assert max_abs_standardized([1, -3, 2], [1, 1, 1]) == 3.0
-
-    def test_unit_ratios(self):
-        assert max_abs_standardized([2, 4], [2, 4]) == 1.0
-
-    def test_masked_max_excluded(self):
-        # global max sits in a masked cell of a 3x3 grid
-        delta = np.array([[9.0, 1, 1], [1, 1, 1], [1, 1, 2]])
-        se = np.ones((3, 3))
-        mask = np.ones((3, 3), dtype=bool)
-        mask[0, 0] = False
-        assert max_abs_standardized(delta, se, mask) == 2.0
-
-    def test_zero_over_zero_contributes_zero(self):
-        assert max_abs_standardized([0.0, 1.0], [0.0, 2.0]) == 0.5
-
-    def test_degenerate_se_errors(self):
-        with pytest.raises(ValueError, match="degenerate SE"):
-            max_abs_standardized([1.0], [0.0])
-
-    def test_2d_field_reduces_over_every_cell(self):
-        delta = np.array([[1.0, -4.0], [2.0, 0.0]])
-        se = np.array([[1.0, 2.0], [0.5, 0.0]])
-        assert max_abs_standardized(delta, se) == 4.0
+    @pytest.mark.parametrize("se, q", [(0.0, 1.5), (1e-17, 1.5), (1.0, 0.0)])
+    def test_logit_zero_half_width_brackets(self, rng, se, q):
+        # expit(logit(p)) misses p by one ulp for about a third of p; the
+        # band used to be refused as "does not bracket eta_hat"
+        prob = rng.uniform(size=100)
+        band = assemble_band(prob, np.full(100, se), q, 1.0, 0.05,
+                             Domain.grid1d(np.arange(100.0)), link="logit")
+        assert np.all(band.scb_low <= prob) and np.all(prob <= band.scb_up)
+        np.testing.assert_allclose(band.scb_low, prob, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(band.scb_up, prob, rtol=1e-12, atol=0)
+        assert band_to_json(band_from_json(band_to_json(band))) == band_to_json(band)
 
 
 class TestStudentizedMax:

@@ -142,6 +142,22 @@ class TestFitFosr:
                     fit.contributions[i], np.linalg.solve(A, rhs)[:p], rtol=0, atol=1e-9
                 )
 
+    def test_fpca_pools_every_observed_pair(self, rng):
+        # exactly two complete rows: the FPCA used to take its covariance
+        # from those two alone, which left K = 1 and noise_variance ~ 1e-15
+        t = np.linspace(0, 1, 25)
+        fns = np.column_stack([np.sqrt(2) * np.sin(2 * np.pi * t), np.cos(2 * np.pi * t)])
+        data = make_dataset(rng, n=24, T=25, noise=0.3, subject_fns=fns)
+        Y = data.outcomes.copy()
+        Y[rng.random(Y.shape) < 0.1] = np.nan
+        Y[np.arange(2, 24), rng.integers(0, 25, 22)] = np.nan
+        Y[:2] = data.outcomes[:2]
+        assert (~np.isnan(Y).any(axis=1)).sum() == 2
+        fit = fit_fosr(FunctionalDataset(data.ids, data.times, Y, data.covariates),
+                       ("x",), k_basis=8)
+        assert fit.noise_variance > 0.01
+        assert fit.eigenfunctions.shape[1] >= 2
+
     def test_needs_ten_subjects(self, rng):
         data = make_dataset(rng, n=12, T=10, noise=0.1)
         small = FunctionalDataset(data.ids[:5], data.times, data.outcomes[:5],

@@ -221,7 +221,8 @@ class TestGridMatchesSpotOracle:
     """Every spot of fit_gls_grid against fit_gls_spot with that spot's V."""
 
     @pytest.mark.parametrize(
-        "case", ["none", "ar1", "ar1_groups", "explicit_2d", "explicit_per_spot", "ar1_estimated"]
+        "case", ["none", "ar1", "ar1_groups", "explicit_2d", "explicit_per_spot", "ar1_estimated",
+                 "comp_symm", "comp_symm_estimated"]
     )
     def test_every_spot_matches(self, case, rng):
         mask = np.ones((5, 4), dtype=bool)
@@ -242,16 +243,23 @@ class TestGridMatchesSpotOracle:
             "explicit_2d": CorrelationSpec("explicit", V=A @ A.T + n * np.eye(n)),
             "explicit_per_spot": CorrelationSpec("explicit", V=per_spot),
             "ar1_estimated": CorrelationSpec("ar1", groups=groups),
+            "comp_symm": CorrelationSpec("comp_symm", rho=0.3),
+            "comp_symm_estimated": CorrelationSpec("comp_symm", groups=groups),
         }[case]
+        if case == "comp_symm_estimated":
+            # a shared effect per group and spot keeps every estimated rho
+            # inside the positive-definite range of compound symmetry
+            shared = 2.0 * np.repeat(rng.standard_normal((3, 5, 4)), n // 3, axis=0)
+            data = SpatialObservations(data.x, data.y, data.values + shared, mask)
         fit, contrib = fit_gls_grid(data, X, w, spec)
         ols = np.linalg.pinv(X)
         for k, (i, j) in enumerate(np.argwhere(mask)):
             z = data.values[:, i, j]
             if case == "none":
                 V = np.eye(n)
-            elif case == "ar1_estimated":
+            elif case.endswith("_estimated"):
                 rho = _per_spot_rho(z - X @ (ols @ z), groups)
-                V = build_correlation(CorrelationSpec("ar1", rho=rho, groups=groups), n)
+                V = build_correlation(CorrelationSpec(spec.kind, rho=rho, groups=groups), n)
             elif spec.kind == "explicit":
                 V = spec.V if spec.V.ndim == 2 else spec.V[i, j]
             else:

@@ -203,6 +203,35 @@ class TestPredictMean:
         with pytest.raises(ValueError, match="missing columns"):
             predict_mean(fit, Table.from_arrays(z=np.zeros(3)))
 
+    def test_non_finite_grid_rejected(self, rng):
+        # a NaN grid cell used to reach the bootstrap, whose every replicate
+        # then failed: "bootstrap exceeded the retry budget"
+        t = Table.from_arrays(x=rng.standard_normal(20), y=rng.standard_normal(20))
+        with pytest.raises(ValueError, match="non-finite values in modeled columns of the grid"):
+            scb_mean_bootstrap(t, parse_formula("y ~ x"), Table.from_arrays(x=[0.0, np.nan]),
+                               n_boot=100)
+
+    def test_dot_is_expanded_at_fit_time(self, rng):
+        t = Table.from_arrays(a=rng.standard_normal(20), b=rng.standard_normal(20),
+                              y=rng.standard_normal(20))
+        fit = fit_ols(t, parse_formula("y ~ ."))
+        assert fit.spec.terms == (Term("main", "a"), Term("main", "b"))
+        with pytest.raises(ValueError, match="grid is missing columns: b"):
+            predict_mean(fit, Table.from_arrays(a=np.zeros(3)))
+
+    def test_column_named_like_a_power_term(self, rng):
+        # with "y ~ .", a data column named "I(a^2)" is a plain column: the
+        # grid's "I(a^2)" column is used, not a**2
+        a, other = rng.standard_normal(40), rng.standard_normal(40)
+        t = Table.from_arrays(**{"a": a, "I(a^2)": other, "y": a - other + rng.standard_normal(40)})
+        fit = fit_ols(t, parse_formula("y ~ ."))
+        assert fit.term_names == ("intercept", "a", "I(a^2)")
+        ga, gother = np.linspace(-2, 2, 9), np.linspace(3, -3, 9)
+        eta, se = predict_mean(fit, Table.from_arrays(**{"a": ga, "I(a^2)": gother}))
+        G = np.column_stack([np.ones(9), ga, gother])
+        np.testing.assert_allclose(eta, G @ fit.beta, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(se, np.sqrt(np.diag(G @ fit.cov_beta @ G.T)), rtol=0, atol=1e-12)
+
 
 class TestMeanBootstrap:
     def test_zero_noise_degenerate(self, rng):
