@@ -117,12 +117,16 @@ class FunctionalDataset:
         col = {t: j for j, t in enumerate(grid.tolist())}
         for s, t, v in zip(ids.tolist(), times.tolist(), values.tolist()):
             Y[row[s], col[t]] = v
+        subject = np.array([row[s] for s in ids.tolist()], dtype=int)
         cov = {}
         for name, vals in covariates.items():
             vals = np.asarray(vals, dtype=float)
             per = np.full(len(uniq_ids), np.nan)
-            for s, v in zip(ids.tolist(), vals.tolist()):
-                per[row[s]] = v
+            per[subject] = vals
+            bad = ~np.isfinite(vals) | (vals != per[subject])
+            if bad.any():
+                raise ValueError(f"subject {uniq_ids[subject[bad.argmax()]]!r} needs one finite "
+                                 f"value of covariate {name!r} on all its rows")
             cov[name] = per
         return cls(tuple(uniq_ids), grid, Y, cov)
 

@@ -72,31 +72,19 @@ class PlotSpec:
 # Marching squares
 # ---------------------------------------------------------------------------
 
-# Cell-edge ids: 0 bottom (i,j)-(i+1,j), 1 right, 2 top, 3 left, with i along
-# axis 0 and j along axis 1. For each of the 16 corner-sign cases, the pairs
-# of edges crossed by the level set.
-_CASE_EDGES = {
-    0: [], 15: [],
-    1: [(3, 0)], 14: [(3, 0)],
-    2: [(0, 1)], 13: [(0, 1)],
-    4: [(1, 2)], 11: [(1, 2)],
-    8: [(2, 3)], 7: [(2, 3)],
-    3: [(3, 1)], 12: [(3, 1)],
-    6: [(0, 2)], 9: [(0, 2)],
-    # saddles resolved by the caller via the cell average
-    5: None, 10: None,
-}
-
-
-def _edge_key(i, j, edge):
-    # canonical (node, axis) key so shared edges interpolate once
-    if edge == 0:
-        return (i, j, 0)
-    if edge == 1:
-        return (i + 1, j, 1)
-    if edge == 2:
-        return (i, j + 1, 0)
-    return (i, j, 1)
+# Cell corners 0-3 are the nodes (i, j), (i+1, j), (i+1, j+1), (i, j+1), with
+# i along axis 0 and j along axis 1; corner k at or above the level sets bit k
+# of the cell's case. Cell edges 0-3 are bottom (corners 0-1), right (1-2), top
+# (2-3) and left (3-0). For each case, the pairs of edges the level set
+# crosses. The saddles 5 and 10 list the pairing that cuts the inside corners
+# apart; a saddle whose cell average is inside takes the other saddle's pairing.
+_CASE_EDGES = (
+    [], [(3, 0)], [(0, 1)], [(3, 1)], [(1, 2)], [(3, 0), (1, 2)], [(0, 2)], [(2, 3)],
+    [(2, 3)], [(0, 2)], [(0, 1), (2, 3)], [(1, 2)], [(3, 1)], [(0, 1)], [(3, 0)], [],
+)
+# canonical (node offset, axis) key of each cell edge, so that the two cells
+# sharing an edge name it alike
+_EDGE_KEYS = ((0, 0, 0), (1, 0, 1), (0, 1, 0), (0, 0, 1))
 
 
 def marching_squares(fieldvals, level: float, mask=None):
@@ -104,63 +92,45 @@ def marching_squares(fieldvals, level: float, mask=None):
 
     Linear interpolation along cell edges; the two ambiguous (saddle) cases
     are resolved by comparing the cell average to the level. Cells touching a
-    masked node emit nothing. Segments are joined into maximal chains; output
-    points are (axis0, axis1) index coordinates.
+    masked or non-finite node emit nothing. Segments are joined into maximal
+    chains; output points are (axis0, axis1) index coordinates.
     """
     F = np.asarray(fieldvals, dtype=float)
     if F.ndim != 2:
         raise ValueError("field must be 2-D")
-    n1, n2 = F.shape
+    ok = np.isfinite(F)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != F.shape:
             raise ValueError("mask shape mismatch")
+        ok &= mask
     level = float(level)
 
-    def interp(i, j, axis):
-        if axis == 0:
-            f0, f1 = F[i, j], F[i + 1, j]
-            t = 0.5 if f1 == f0 else (level - f0) / (f1 - f0)
-            return (i + t, float(j))
-        f0, f1 = F[i, j], F[i, j + 1]
-        t = 0.5 if f1 == f0 else (level - f0) / (f1 - f0)
-        return (float(i), j + t)
+    def corners(a):
+        return np.stack([a[:-1, :-1], a[1:, :-1], a[1:, 1:], a[:-1, 1:]])
 
-    segments = []  # pairs of edge keys
-    points = {}
-    for i in range(n1 - 1):
-        for j in range(n2 - 1):
-            if mask is not None and not (
-                mask[i, j] and mask[i + 1, j] and mask[i, j + 1] and mask[i + 1, j + 1]
-            ):
-                continue
-            corners = (F[i, j], F[i + 1, j], F[i + 1, j + 1], F[i, j + 1])
-            if not all(np.isfinite(corners)):
-                continue
-            case = (
-                (corners[0] >= level)
-                | ((corners[1] >= level) << 1)
-                | ((corners[2] >= level) << 2)
-                | ((corners[3] >= level) << 3)
-            )
-            edges = _CASE_EDGES[int(case)]
-            if edges is None:
-                # saddle: the cell average decides whether the two inside
-                # corners connect through the center
-                center_in = sum(corners) / 4.0 >= level
-                if int(case) == 5:  # corners 0 and 2 inside
-                    edges = [(0, 1), (2, 3)] if center_in else [(3, 0), (1, 2)]
-                else:  # corners 1 and 3 inside
-                    edges = [(3, 0), (1, 2)] if center_in else [(0, 1), (2, 3)]
-            for e0, e1 in edges:
-                keys = []
-                for e in (e0, e1):
-                    key = _edge_key(i, j, e)
-                    if key not in points:
-                        points[key] = interp(key[0], key[1], key[2])
-                    keys.append(key)
-                segments.append((keys[0], keys[1]))
-
+    bits = corners(F >= level).astype(int)
+    case = bits[0] | bits[1] << 1 | bits[2] << 2 | bits[3] << 3
+    values = corners(F)
+    # this runs on every cell and edge, also on unread ones with equal or
+    # non-finite ends, so it warns on none; a crossed edge has one end on each
+    # side of the level, so its denominator is nonzero
+    with np.errstate(all="ignore"):
+        center_in = (values[0] + values[1] + values[2] + values[3]) / 4.0 >= level
+        # index coordinate of the level crossing on every axis-0 edge
+        # (i, j)-(i+1, j) and every axis-1 edge (i, j)-(i, j+1)
+        along = (np.arange(F.shape[0] - 1)[:, None] + (level - F[:-1]) / (F[1:] - F[:-1]),
+                 np.arange(F.shape[1] - 1) + (level - F[:, :-1]) / (F[:, 1:] - F[:, :-1]))
+    case = np.where(((case == 5) | (case == 10)) & center_in, 15 - case, case)
+    crossed = corners(ok).all(axis=0) & (case % 15 != 0)
+    ii, jj = np.nonzero(crossed)
+    segments = []  # pairs of edge keys, cells in row-major order
+    for i, j, c in zip(ii.tolist(), jj.tolist(), case[crossed].tolist()):
+        for e0, e1 in _CASE_EDGES[c]:
+            (a0, b0, axis0), (a1, b1, axis1) = _EDGE_KEYS[e0], _EDGE_KEYS[e1]
+            segments.append(((i + a0, j + b0, axis0), (i + a1, j + b1, axis1)))
+    points = {(i, j, axis): (along[0][i, j], float(j)) if axis == 0
+              else (float(i), along[1][i, j]) for seg in segments for i, j, axis in seg}
     return _join_chains(segments, points)
 
 
@@ -269,33 +239,21 @@ def _scale(lo, hi, out_lo, out_hi):
     return f
 
 
-def _palette_color(palette, t):
-    stops = PALETTES[palette]
-    pos = t * (len(stops) - 1)
-    k = int(np.clip(np.floor(pos), 0, len(stops) - 2))
-    frac = pos - k
-
-    def hex2rgb(h):
-        return tuple(int(h[i:i + 2], 16) for i in (1, 3, 5))
-
-    c0, c1 = hex2rgb(stops[k]), hex2rgb(stops[k + 1])
-    rgb = tuple(round(a + (b - a) * frac) for a, b in zip(c0, c1))
-    return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
+def _palette_colors(palette, t):
+    """Hex colours of the palette ramp at the positions ``t`` in [0, 1]."""
+    stops = np.array([[int(h[k:k + 2], 16) for k in (1, 3, 5)] for h in PALETTES[palette]],
+                     dtype=float)
+    pos = np.asarray(t, dtype=float) * (len(stops) - 1)
+    k = np.clip(np.floor(pos), 0, len(stops) - 2).astype(int)
+    frac = (pos - k)[:, None]
+    rgb = np.rint(stops[k] + (stops[k + 1] - stops[k]) * frac).astype(int)
+    return ["#%02x%02x%02x" % tuple(c) for c in rgb.tolist()]
 
 
 def _segments_from_bools(include):
     """Contiguous True runs as (start, stop) index pairs (stop inclusive)."""
-    runs = []
-    start = None
-    for i, flag in enumerate(include):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(include) - 1))
-    return runs
+    change = np.flatnonzero(np.diff(np.concatenate(([False], include, [False]))))
+    return list(zip(change[::2].tolist(), (change[1::2] - 1).tolist()))
 
 
 def _render_1d(band: SCBand, spec: PlotSpec, levels) -> str:
@@ -313,7 +271,7 @@ def _render_1d(band: SCBand, spec: PlotSpec, levels) -> str:
     svg = _Svg()
     # gray band polygon and estimate curve, split at masked cells
     m = band.domain.mask_array()
-    for a, b in _segments_from_bools(m.tolist()):
+    for a, b in _segments_from_bools(m):
         xs = x[a:b + 1]
         upper_pts = [(sx(xi), sy(v)) for xi, v in zip(xs, band.scb_up[a:b + 1])]
         lower_pts = [(sx(xi), sy(v)) for xi, v in zip(xs, band.scb_low[a:b + 1])][::-1]
@@ -332,7 +290,7 @@ def _render_1d(band: SCBand, spec: PlotSpec, levels) -> str:
             (r.inner, INNER_COLOR),
         )
         for include, color in layers:
-            for a, b in _segments_from_bools(include.tolist()):
+            for a, b in _segments_from_bools(include):
                 svg.line(sx(x[a]), ylevel, sx(x[b]), ylevel, color)
         if spec.level_label:
             svg.text(w - _MARGIN / 4, ylevel - 3, f"{level:g}",
@@ -355,45 +313,41 @@ def _render_2d(band: SCBand, spec: PlotSpec, levels) -> str:
     vals = band.eta_hat[mask]
     vlo, vhi = float(vals.min()), float(vals.max())
     span = vhi - vlo if vhi > vlo else 1.0
-    # heat field: one rect per unmasked grid cell
+    if not np.isfinite(span):
+        raise ValueError("eta_hat spans more than the largest float; no heat scale")
+    # heat field: one rect per unmasked grid cell, in row-major order
     dx = (sx(x1[-1]) - sx(x1[0])) / max(x1.size - 1, 1)
     dy = (sy(x2[0]) - sy(x2[-1])) / max(x2.size - 1, 1)
-    for i in range(x1.size):
-        for j in range(x2.size):
-            if not mask[i, j]:
-                continue
-            t = (band.eta_hat[i, j] - vlo) / span
-            svg.rect(sx(x1[i]) - dx / 2, sy(x2[j]) - dy / 2, dx, dy,
-                     _palette_color(spec.palette, t))
+    left, bottom = (sx(x1) - dx / 2).tolist(), (sy(x2) - dy / 2).tolist()
+    ii, jj = np.nonzero(mask)
+    for i, j, color in zip(ii.tolist(), jj.tolist(),
+                           _palette_colors(spec.palette, (vals - vlo) / span)):
+        svg.rect(left[i], bottom[j], dx, dy, color)
 
-    def draw_contours(fieldvals, level, color):
-        chains = marching_squares(fieldvals, level, mask)
-        best = None
-        for chain in chains:
-            pts = [(sx(np.interp(a, np.arange(x1.size), x1)),
-                    sy(np.interp(b, np.arange(x2.size), x2))) for a, b in chain]
-            svg.polyline(pts, color, 2.0)
-            if best is None or len(chain) > len(best):
-                best = pts
-        return best
+    def contour_lines(fieldvals, level):
+        lines = []
+        for chain in marching_squares(fieldvals, level, mask):
+            a, b = np.array(chain).T
+            lines.append(list(zip(sx(np.interp(a, np.arange(x1.size), x1)).tolist(),
+                                  sy(np.interp(b, np.arange(x2.size), x2)).tolist())))
+        return lines
 
     # the outer region of an upper set is bounded by the scb_up contour, of
     # a lower set by the scb_low contour
     outer, inner = band.scb_up, band.scb_low
     if spec.set_type == "lower":
         outer, inner = inner, outer
-    surfaces = (
-        (outer, OUTER_COLOR),
-        (band.eta_hat, ESTIMATE_2D_COLOR),
-        (inner, INNER_COLOR),
-    )
+    # NaN sits only on masked nodes, which the contour skips; an infinite
+    # band limit is contoured as the largest finite value
+    surfaces = [np.nan_to_num(f) for f in (outer, band.eta_hat, inner)]
     for level in levels:
-        longest = None
-        for fieldvals, color in surfaces:
-            best = draw_contours(np.nan_to_num(fieldvals, nan=0.0), level, color)
-            if fieldvals is band.eta_hat:
-                longest = best
-        if spec.level_label and longest is not None and len(longest) >= spec.min_size:
+        lines = [contour_lines(f, level) for f in surfaces]
+        for group, color in zip(lines, (OUTER_COLOR, ESTIMATE_2D_COLOR, INNER_COLOR)):
+            for pts in group:
+                svg.polyline(pts, color, 2.0)
+        # the label sits mid-way along the longest estimate contour
+        longest = max(lines[1], key=len, default=[])
+        if spec.level_label and longest and len(longest) >= spec.min_size:
             mx, my = longest[len(longest) // 2]
             svg.text(mx, my, f"{level:g}", fill=spec.label_color)
     svg.text(w / 2, h - 10, spec.xlab or "", anchor="middle")

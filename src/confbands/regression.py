@@ -292,13 +292,18 @@ def _fit(table: Table, spec: ModelSpec, family: str):
     if n <= p:
         raise ValueError(f"need more rows ({n}) than design columns ({p})")
     _check_rank(X, names)
-    beta, cov, ok, sigma2 = _refit(family, X, y, np.ones((1, n)))
+    # an overflow shows up as a non-finite sigma2 or cov_beta, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta, cov, ok, sigma2 = _refit(family, X, y, np.ones((1, n)))
     if not ok[0]:
         if family == "gaussian":
             raise ValueError("least squares failed: singular normal equations")
         diverged = np.linalg.norm(beta[0]) > SEPARATION_NORM
         raise ValueError("quasi-separation" if diverged else "IRLS failed")
     sigma2 = None if sigma2 is None else float(sigma2[0])
+    if not (np.all(np.isfinite(cov[0])) and np.isfinite(sigma2 or 0.0)):
+        raise ValueError(f"fit of response {spec.response!r} overflows: sigma2 or cov_beta "
+                         "is not finite")
     return FittedGLM(family, beta[0], cov[0], tuple(names), spec, sigma2), X, y
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,22 @@ class TestScbLinear:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "invalid_input"
         assert err["message"] == f"{path} line 3, column 'x1': 'oops' is not a number"
+
+    def test_overflowing_response_invalid_input(self, tmp_path, regression_files, capsys):
+        # used to exit runtime_error "bootstrap exceeded the retry budget",
+        # after overflow RuntimeWarnings
+        data, grid = regression_files
+        lines = data.read_text().splitlines()[:21]
+        lines[5] = lines[5].rsplit(",", 1)[0] + ",1e160"
+        data.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["scb", "linear", "--data", data, "--model", "y ~ x1", "--grid", grid,
+                        "--nboot", 100, "--quiet"])
+        assert code == 1 and caught == []
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid_input"
+        assert "response 'y'" in err["message"]
 
     def test_missing_file_error_json(self, tmp_path, capsys):
         code = run(["scb", "linear", "--data", tmp_path / "nope.csv",
@@ -156,6 +173,20 @@ class TestScbFosr:
         band = band_from_json(out.read_text())
         assert band.domain.shape == (12,)
         assert np.all(np.isfinite(band.scb_low)) and np.all(band.scb_up > band.scb_low)
+
+    def test_conflicting_subject_covariate_invalid_input(self, tmp_path, fosr_csv, capsys):
+        # a NaN covariate on one row of s0 used to be ignored, exiting 0
+        lines = fosr_csv.read_text().splitlines()
+        assert lines[1].startswith("s0,")
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",nan"
+        bad = tmp_path / "conflict.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = run(["scb", "fosr", "--data", bad, "--nboot", 50, "--kbasis", 8, "--quiet",
+                    "--out", tmp_path / "band.json"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "invalid_input"
+        assert "'s0'" in err["message"] and "'use'" in err["message"]
 
     def test_missing_required_column(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

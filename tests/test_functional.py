@@ -416,6 +416,15 @@ class TestDataset:
         np.testing.assert_array_equal(data.outcomes, [[1, 2], [3, 4]])
         np.testing.assert_array_equal(data.covariates["x"], [1, 0])
 
+    @pytest.mark.parametrize("x, subject", [
+        ([1, np.nan, 0, 0], "a"), ([1, 1, 0, 2], "b"), ([np.inf, np.inf, 0, 0], "a"),
+    ])
+    def test_from_long_rejects_conflicting_covariate(self, x, subject):
+        # the covariate used to be taken from each subject's last row
+        with pytest.raises(ValueError, match=f"subject '{subject}' .* covariate 'x'"):
+            FunctionalDataset.from_long(["a", "a", "b", "b"], [0.0, 1.0, 0.0, 1.0],
+                                        [1.0, 2.0, 3.0, 4.0], {"x": x})
+
     def test_missing_cells_become_nan(self):
         data = FunctionalDataset.from_long(
             ["a", "b", "b"], [0.0, 0.0, 1.0], [1.0, 2.0, 3.0], {}

@@ -82,6 +82,14 @@ class TestFitOls:
         np.testing.assert_allclose(fit.beta, [2.0, 3.0], atol=1e-10)
         assert fit.sigma2 == pytest.approx(0.0, abs=1e-16)
 
+    def test_overflowing_response_refused(self, rng):
+        # one huge response cell used to give sigma2 = inf and an all-inf cov_beta
+        y = rng.standard_normal(20)
+        y[4] = 1e160
+        t = Table.from_arrays(x=rng.standard_normal(20), y=y)
+        with pytest.raises(ValueError, match="response 'y' overflows"):
+            fit_ols(t, parse_formula("y ~ x"))
+
     def test_intercept_only_is_mean(self, rng):
         y = rng.standard_normal(25)
         t = Table.from_arrays(z=np.zeros(25), y=y)
