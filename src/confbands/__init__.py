@@ -21,7 +21,6 @@ from .functional import (
     SubsetSpec,
     draw_multipliers,
     fit_fosr,
-    impute_fpca,
     predict_target,
     scb_cma,
     scb_multiplier,
@@ -72,7 +71,7 @@ __all__ = [
     "Table", "ModelSpec", "FittedGLM", "parse_formula", "fit_ols",
     "fit_logistic", "predict_mean", "scb_mean_bootstrap", "scb_coef_bootstrap",
     "FunctionalDataset", "FoSRFit", "SubsetSpec", "fit_fosr", "predict_target",
-    "scb_cma", "scb_multiplier", "draw_multipliers", "impute_fpca",
+    "scb_cma", "scb_multiplier", "draw_multipliers",
     "SpatialObservations", "CorrelationSpec", "GLSFit", "build_correlation",
     "fit_gls_spot", "fit_gls_grid", "scb_gls",
     "SimDesign", "CoverageReport", "generate", "run_coverage",

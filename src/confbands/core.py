@@ -159,6 +159,9 @@ class SCBand:
             raise ValueError("se must be nonnegative")
         if not (np.all(np.isfinite(self.eta_hat[m])) and np.all(np.isfinite(self.se[m]))):
             raise ValueError("band fields must be finite at unmasked cells")
+        for name in ("scb_low", "scb_up"):
+            if not np.all(np.isfinite(getattr(self, name)[m])):
+                raise ValueError(f"{name} must be finite at unmasked cells")
         low, up = _band_limits(self.eta_hat, self.se, self.q_alpha, self.tau, self.link)
         if not (
             np.array_equal(low[m], self.scb_low[m])
@@ -181,9 +184,11 @@ def _expit(x):
 
 
 def _band_limits(eta_hat, se, q, tau, link):
-    half = (q / tau) * se
-    if link == "identity":
-        return eta_hat - half, eta_hat + half
+    # a limit that overflows is refused by validate, so it need not warn
+    with np.errstate(over="ignore"):
+        half = (q / tau) * se
+        if link == "identity":
+            return eta_hat - half, eta_hat + half
     # expit(logit(p)) can miss p by one ulp, so a narrow logit band is
     # clamped to bracket p
     lin = _logit(eta_hat)

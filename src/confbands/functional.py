@@ -4,19 +4,22 @@ functions.
 
 Fitting is a three-step scheme: (1) penalized B-spline least squares for the
 mean model with GCV-selected smoothing, (2) FPCA of the residual process by
-eigendecomposition of its sample covariance, (3) a refit that adds per-subject
-score terms as ridge-penalized coefficients (the random-effect equivalent),
-whose posterior covariance feeds the band constructions.
+eigendecomposition of its pairwise-complete covariance, (3) a refit that adds
+per-subject score terms as ridge-penalized coefficients (the random-effect
+equivalent). The coefficient covariance comes from leave-one-subject-out
+contributions: each leave-out reruns all three steps without the subject,
+through the same refit as the fit itself, for any pattern of missing cells.
 
-Two critical-value estimators are provided: a parametric simulation from the
-coefficient posterior (:func:`scb_cma`) and a multiplier-t bootstrap on
-per-subject contributions (:func:`scb_multiplier`).
+Two critical-value estimators are provided, both on those contributions: a
+parametric simulation from their covariance (:func:`scb_cma`) and a
+multiplier-t bootstrap (:func:`scb_multiplier`). Neither imputes missing
+cells.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import BSpline
@@ -42,7 +45,6 @@ __all__ = [
     "scb_cma",
     "scb_multiplier",
     "draw_multipliers",
-    "impute_fpca",
     "cma_max_stats",
     "multiplier_max_stats",
 ]
@@ -97,9 +99,6 @@ class FunctionalDataset:
     @property
     def n_times(self) -> int:
         return self.times.size
-
-    def has_missing(self) -> bool:
-        return bool(np.isnan(self.outcomes).any())
 
     @classmethod
     def from_long(cls, ids, times, values, covariates: dict) -> "FunctionalDataset":
@@ -195,7 +194,8 @@ class FoSRFit:
     ``coef`` holds the spline coefficient blocks (one row per covariate,
     intercept first); ``cov_coef`` is their sampling covariance, the
     between-subject sandwich of the per-subject ``contributions`` (leave-one-
-    subject-out pseudo-values), which the multiplier bootstrap perturbs.
+    subject-out pseudo-values, with or without missing cells), which the
+    multiplier bootstrap perturbs.
     """
 
     times: np.ndarray
@@ -210,7 +210,6 @@ class FoSRFit:
     sigma2: float
     residuals: np.ndarray  # mean-model residuals, (n, T), NaN at missing
     contributions: np.ndarray  # (n, p): per-subject coefficient contributions
-    settings: dict = field(default_factory=dict)
 
     @property
     def n_subjects(self) -> int:
@@ -259,40 +258,6 @@ def _fpca_from_residuals(E: np.ndarray, dt: float, pve: float, n_components):
     return Phi, sigma_k2, float(noise)
 
 
-def _loo_theta_complete(Y, Xc, B, BtB, S, lam1, lam_refit, pve, n_components,
-                        ZtZ, Zty, ZtZ_i, Zty_i, dt):
-    """Leave-one-subject-out coefficient estimates for fully observed data.
-
-    Each leave-out re-runs the whole pipeline (mean model at the selected
-    lambda, FPCA, score-augmented refit); with a common grid the refit
-    collapses to Kronecker algebra, so the loop is cheap.
-    """
-    n, T = Y.shape
-    J1 = Xc.shape[1]
-    kb = B.shape[1]
-    rows = np.arange(n)
-    theta_loo = np.zeros((n, J1 * kb))
-    for i in range(n):
-        th1 = np.linalg.solve(ZtZ - ZtZ_i[i] + lam1 * S, Zty - Zty_i[i])
-        E = Y - Xc @ (th1.reshape(J1, kb) @ B.T)
-        sel = rows != i
-        if np.max(np.abs(E[sel])) < 1e-12:
-            Phi = np.zeros((T, 0))
-            ridge = np.zeros(0)
-        else:
-            Phi, sk2, noise = _fpca_from_residuals(E[sel], dt, pve, n_components)
-            ridge = noise / np.maximum(sk2, 1e-10)
-        K = Phi.shape[1]
-        A22inv = np.linalg.inv(Phi.T @ Phi + np.diag(ridge)) if K else np.zeros((0, 0))
-        BtPhi = B.T @ Phi
-        D = BtB - BtPhi @ A22inv @ BtPhi.T
-        R0 = B.T - BtPhi @ A22inv @ Phi.T
-        M = np.kron(Xc[sel].T @ Xc[sel], D)
-        rhs = (R0 @ Y[sel].T @ Xc[sel]).T.ravel()
-        theta_loo[i] = np.linalg.solve(M + lam_refit * S, rhs)
-    return theta_loo
-
-
 def fit_fosr(
     data: FunctionalDataset,
     covariates=None,
@@ -330,12 +295,15 @@ def fit_fosr(
 
     # Subject i's design rows are Z_i = kron(x_i, B[t]) at its observed
     # times. Every per-subject quantity is stacked over subjects, missing
-    # cells zeroed through the observation mask O_i: Bt_O[i] = B' O_i, and
+    # cells zeroed through the 0/1 observation mask O_i (the rows of obs);
     # Y0 is the outcome matrix with 0 at missing cells.
     Y = data.outcomes
     obs = ~np.isnan(Y)
     Y0 = np.where(obs, Y, 0.0)
-    Bt_O = B.T[None, :, :] * obs[:, None, :]  # (n, kb, T)
+
+    def masked_gram(o, F, G):  # F' O G for each row O of the 0/1 weights o, one product
+        K1, K2 = F.shape[1], G.shape[1]
+        return (o @ (F[:, :, None] * G[:, None, :]).reshape(T, K1 * K2)).reshape(len(o), K1, K2)
 
     def kron_x(blocks):  # (n, kb, ...) -> (n, p, ...): kron(x_i, blocks[i])
         return np.einsum("nj,nk...->njk...", Xc, blocks).reshape((n, p) + blocks.shape[2:])
@@ -343,7 +311,7 @@ def fit_fosr(
     def mean_curves(theta):  # (n, T) mean-model fit x_i' Theta B'
         return Xc @ (theta.reshape(J1, k_basis) @ B.T)
 
-    ZtZ_i = np.einsum("ni,nj,nkl->nikjl", Xc, Xc, Bt_O @ B).reshape(n, p, p)
+    ZtZ_i = np.einsum("ni,nj,nkl->nikjl", Xc, Xc, masked_gram(obs, B, B)).reshape(n, p, p)
     Zty_i = kron_x(Y0 @ B)
     ZtZ = ZtZ_i.sum(axis=0)
     Zty = Zty_i.sum(axis=0)
@@ -367,44 +335,80 @@ def fit_fosr(
     if theta1 is None:
         raise ValueError("penalized mean-model fit failed for every lambda")
 
-    E = np.where(obs, Y - mean_curves(theta1), np.nan)
-
-    # degeneracy is judged against an unpenalized fit: the ladder-floor
-    # penalty leaves a small bias residue even on exactly representable data
+    # degeneracy is judged once, on the full data, against an unpenalized
+    # fit: the ladder-floor penalty leaves a small bias residue even on
+    # exactly representable data. Degenerate data skip the FPCA (K = 0) in
+    # the fit and in every leave-out, and every refit is least squares.
     theta_ls = np.linalg.lstsq(ZtZ, Zty, rcond=None)[0]
     resid_ls = np.where(obs, Y - mean_curves(theta_ls), 0.0)
     degenerate = float(np.abs(resid_ls).max()) < 1e-8 * max(1.0, float(np.abs(Y0).max()))
-
-    dt = (t[-1] - t[0]) / (T - 1) if T > 1 else 1.0
     if degenerate:
         warnings.warn("all residuals are zero; skipping FPCA (K = 0)")
-        Phi, sigma_k2, noise = np.zeros((T, 0)), np.zeros(0), 0.0
-    else:
-        Phi, sigma_k2, noise = _fpca_from_residuals(E, dt, pve, n_components)
-    K = Phi.shape[1]
+    dt = (t[-1] - t[0]) / (T - 1) if T > 1 else 1.0
 
-    # refit with per-subject score columns U_i = O_i Phi (zero width when
+    def fpca(E):  # (Phi, score variances, noise variance) of residuals E
+        if degenerate:
+            return np.zeros((T, 0)), np.zeros(0), 0.0
+        return _fpca_from_residuals(E, dt, pve, n_components)
+
+    def score_blocks(o, Phi, ridge):  # B' O Phi and (Phi' O Phi + ridge)^-1 for each row O of o
+        return masked_gram(o, B, Phi), np.linalg.inv(masked_gram(o, Phi, Phi) + np.diag(ridge))
+
+    # Refit with per-subject score columns U_i = O_i Phi (zero width when
     # K = 0), solved through the Schur complement of the block-diagonal score
     # block. The coefficient blocks are left unpenalized here (ladder-floor
     # roughness penalty only, as a numerical stabilizer): the mean model's
     # GCV lambda was tuned against a residual scale that included the subject
     # effects, and carrying it over both biases the coefficient functions and
     # understates their variance once the score terms absorb that variation.
-    ridge = noise / np.maximum(sigma_k2, 1e-10)
     lam_refit = float(_GCV_LADDER[0])
-    A12 = kron_x(Bt_O @ Phi)  # (n, p, K): Z_i' U_i
-    A22inv = np.linalg.inv((Phi.T[None, :, :] * obs[:, None, :]) @ Phi + np.diag(ridge))
+    complete = obs.all(axis=1)
+    XX = Xc[:, :, None] * Xc[:, None, :]  # (n, J1, J1): x_i x_i'
+    YX = Y0[:, :, None] * Xc[:, None, :]  # (n, T, J1): y_i x_i'
+    pooled_xx, pooled_yx = XX[complete].sum(axis=0), YX[complete].sum(axis=0)
+
+    def solve(M, rhs):  # least squares on degenerate data
+        if degenerate:
+            return np.linalg.lstsq(M, rhs, rcond=None)[0]
+        return np.linalg.solve(M + lam_refit * S, rhs)
+
+    def refit(Phi, ridge, drop=None):
+        """Score-augmented refit on every subject but ``drop``: returns the
+        coefficients and the Schur complement M (system matrix minus the
+        roughness penalty).
+
+        Fully observed subjects share one score block and enter in Kronecker
+        form through their x x' and y x' sums; the others are visited one by
+        one.
+        """
+        ZtZ_k, Zty_k, xx0, yx0, own = ZtZ, Zty, pooled_xx, pooled_yx, ~complete
+        if drop is not None:
+            ZtZ_k, Zty_k = ZtZ - ZtZ_i[drop], Zty - Zty_i[drop]
+            own &= np.arange(n) != drop
+            if complete[drop]:
+                xx0, yx0 = xx0 - XX[drop], yx0 - YX[drop]
+        BtPhi = B.T @ Phi
+        H = BtPhi @ np.linalg.inv(Phi.T @ Phi + np.diag(ridge))
+        M = ZtZ_k - np.kron(xx0, H @ BtPhi.T)
+        rhs = Zty_k - (H @ (Phi.T @ yx0)).T.ravel()
+        if own.any():
+            C, A22inv = score_blocks(obs[own], Phi, ridge)
+            H = C @ A22inv  # (subjects, kb, K)
+            D = np.tensordot(XX[own], H @ C.transpose(0, 2, 1), axes=(0, 0))  # (J1, J1, kb, kb)
+            M -= D.transpose(0, 2, 1, 3).reshape(p, p)
+            rhs -= (H @ (Phi.T @ YX[own])).sum(axis=0).T.ravel()
+        M = 0.5 * (M + M.T)
+        return solve(M, rhs), M
+
+    Phi, sigma_k2, noise = fpca(Y - mean_curves(theta1))
+    K = Phi.shape[1]
+    ridge = noise / np.maximum(sigma_k2, 1e-10)
+    theta, M = refit(Phi, ridge)
+    Sinv = solve(M, np.eye(p))
+    C, A22inv = score_blocks(obs, Phi, ridge)
+    A12 = kron_x(C)  # (n, p, K): Z_i' U_i
     G = A12 @ A22inv
-    Uty = Y0 @ Phi  # (n, K): U_i' y_i
-    M = ZtZ - np.tensordot(G, A12, axes=([0, 2], [0, 2]))  # Schur complement minus lambda*S
-    M = 0.5 * (M + M.T)
-    if degenerate:
-        Sinv = np.linalg.pinv(M)
-        theta = theta_ls  # plain least squares reproduces the data exactly
-    else:
-        Sinv = np.linalg.inv(M + lam_refit * S)
-        theta = Sinv @ (Zty - np.tensordot(G, Uty, axes=([0, 2], [0, 1])))
-    xi = np.einsum("nkl,nl->nk", A22inv, Uty - theta @ A12)
+    xi = np.einsum("nkl,nl->nk", A22inv, Y0 @ Phi - theta @ A12)
 
     R0 = np.where(obs, Y - mean_curves(theta), 0.0)  # mean-model residuals
     rss = float(np.sum(np.where(obs, R0 - xi @ Phi.T, 0.0) ** 2))
@@ -413,19 +417,18 @@ def fit_fosr(
            - np.einsum("npk,npk,k->", G, Sinv @ G, ridge))
     sigma2 = rss / max(n_obs - edf, 1.0)
 
-    # per-subject contributions: leave-one-out pseudo-values when the data
-    # are complete (the full two-stage pipeline is re-run per leave-out);
-    # with missing cells, fall back to plug-in influence contributions
-    # Sinv (Z_i' r_i - G[i] U_i' r_i)
-    if obs.all():
-        theta_loo = _loo_theta_complete(
-            Y, Xc, B, B.T @ B, S, lam, lam_refit, pve, n_components,
-            ZtZ, Zty, ZtZ_i, Zty_i, dt,
-        )
-        u = ((n - 1.0) / n) * (theta[None, :] - theta_loo)
-    else:
-        u = (kron_x(R0 @ B) - np.einsum("npk,nk->np", G, R0 @ Phi)) @ Sinv.T
+    # per-subject contributions: leave-one-out pseudo-values, each from the
+    # whole pipeline without subject i (mean model at the selected lambda,
+    # FPCA, refit)
+    def leave_out(i):
+        try:
+            th1 = np.linalg.solve(ZtZ - ZtZ_i[i] + lam * S, Zty - Zty_i[i])
+            Phi_i, sk2, noise_i = fpca(np.delete(Y - mean_curves(th1), i, axis=0))
+            return refit(Phi_i, noise_i / np.maximum(sk2, 1e-10), i)[0]
+        except np.linalg.LinAlgError:
+            raise ValueError(f"the fit without subject {data.ids[i]!r} is singular") from None
 
+    u = ((n - 1.0) / n) * (theta[None, :] - np.array([leave_out(i) for i in range(n)]))
     uc = u - u.mean(axis=0)
     Vbeta = (n / (n - 1.0)) * (uc.T @ uc)
     Vbeta = 0.5 * (Vbeta + Vbeta.T)
@@ -442,7 +445,6 @@ def fit_fosr(
         sigma2=float(sigma2),
         residuals=np.where(obs, R0, np.nan),
         contributions=u,
-        settings={"k_basis": k_basis, "pve": pve, "n_components": n_components},
     )
 
 
@@ -598,10 +600,10 @@ def scb_multiplier(
 
     The procedure runs on per-subject contributions to the estimator,
     psi_n(s) = N * (contrast @ contribution_n), which for a plain mean
-    target reduce to the subjects' curve residuals. Missing outcomes are
-    imputed (and the model refit on the completed data) first. The band is
-    eta_hat +/- q * zeta(s)/sqrt(N) with zeta the pointwise sample SD of the
-    contributions.
+    target reduce to the subjects' curve residuals. They are the fit's own,
+    for any pattern of missing cells: nothing is imputed or refit. The band
+    is eta_hat +/- q * zeta(s)/sqrt(N) with zeta the pointwise sample SD of
+    the contributions.
     """
     Y = data.outcomes
     # domain values identically zero (beyond the first index) break the
@@ -609,15 +611,6 @@ def scb_multiplier(
     seg_zero = (~np.isnan(Y)).any(axis=0) & np.all((Y == 0) | np.isnan(Y), axis=0)
     if seg_zero[1:].any():
         raise ValueError("outcome is identically zero within a domain segment")
-    if data.has_missing():
-        data = impute_fpca(data, pve=fit.settings.get("pve", 0.95))
-        fit = fit_fosr(
-            data,
-            fit.covariate_names,
-            k_basis=fit.settings.get("k_basis", 30),
-            pve=fit.settings.get("pve", 0.95),
-            n_components=fit.settings.get("n_components"),
-        )
     eta, _, C = predict_target(fit, subset, target)
     N = fit.n_subjects
     psi = N * (fit.contributions @ C.T)  # (N, grid)
@@ -626,46 +619,3 @@ def scb_multiplier(
     q = empirical_quantile(maxima, 1.0 - alpha)
     zeta = psi.std(axis=0, ddof=1)
     return assemble_band(eta, zeta / np.sqrt(N), q, 1.0, alpha, Domain.grid1d(fit.times))
-
-
-def impute_fpca(data: FunctionalDataset, pve: float = 0.95) -> FunctionalDataset:
-    """Fill missing outcome cells with their FPCA reconstruction.
-
-    Mean and covariance come from fully observed subjects; each incomplete
-    subject's scores are estimated by least squares on its observed points.
-    Observed entries pass through unchanged.
-    """
-    Y = data.outcomes
-    miss = np.isnan(Y)
-    if not miss.any():
-        return data
-    too_few = [data.ids[i] for i in range(data.n_subjects) if (~miss[i]).sum() < 2]
-    if too_few:
-        raise ValueError(
-            f"subjects with fewer than 2 observed points: {', '.join(map(str, too_few))}"
-        )
-    complete = ~miss.any(axis=1)
-    if complete.sum() < 2:
-        raise ValueError("imputation needs at least 2 fully observed subjects")
-    Yc = Y[complete]
-    mu = Yc.mean(axis=0)
-    Zc = Yc - mu
-    C = Zc.T @ Zc / (Zc.shape[0] - 1)
-    vals, vecs = np.linalg.eigh(C)
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
-    pos = vals > max(vals[0], 0.0) * 1e-12 if vals.size else np.zeros(0, bool)
-    total = vals[pos].sum()
-    if total <= 0:
-        K = 0
-    else:
-        frac = np.cumsum(vals[pos]) / total
-        K = int(np.searchsorted(frac, pve) + 1)
-        K = min(K, int(pos.sum()))
-    Phi = vecs[:, :K]
-    out = Y.copy()
-    for i in np.flatnonzero(miss.any(axis=1)):
-        o = ~miss[i]
-        xi, *_ = np.linalg.lstsq(Phi[o], Y[i, o] - mu[o], rcond=None)
-        out[i, miss[i]] = (mu + Phi @ xi)[miss[i]]
-    return FunctionalDataset(data.ids, data.times, out, data.covariates)

@@ -185,15 +185,30 @@ def fit_gls_spot(X, z, V) -> tuple[np.ndarray, np.ndarray]:
     return beta, sigma2 * XtX_inv
 
 
-def _estimate_rho(resid: np.ndarray, groups) -> np.ndarray:
-    """Lag-1 autocorrelation (Yule-Walker) of each column of an (n, S)
-    residual matrix, adjacency within groups only; 0 for a zero column."""
+def _estimate_rho(resid: np.ndarray, kind: str, groups) -> np.ndarray:
+    """Moment estimate of rho for each column of an (n, S) residual matrix,
+    from pairs within groups only; 0 for a zero column.
+
+    ar1: the lag-1 autocorrelation (Yule-Walker), clipped to [-0.99, 0.99].
+    comp_symm: the mean product over distinct same-group pairs divided by
+    the mean square, clipped to [0, 0.99], since a shared within-group
+    effect has nonnegative variance.
+    """
+    n = resid.shape[0]
     num = np.zeros(resid.shape[1])
-    for idx in _group_slices(groups, resid.shape[0]):
+    pairs = 0
+    for idx in _group_slices(groups, n):
         e = resid[idx]
-        num += np.einsum("ns,ns->s", e[:-1], e[1:])
+        if kind == "ar1":
+            num += np.einsum("ns,ns->s", e[:-1], e[1:])
+        else:
+            num += e.sum(axis=0) ** 2 - np.einsum("ns,ns->s", e, e)
+            pairs += idx.size * (idx.size - 1)
     den = np.einsum("ns,ns->s", resid, resid)
-    return np.clip(num / np.where(den > 0, den, np.inf), -0.99, 0.99)
+    den = np.where(den > 0, den, np.inf)
+    if kind == "ar1":
+        return np.clip(num / den, -0.99, 0.99)
+    return np.clip((num / max(pairs, 1)) / (den / n), 0.0, 0.99)
 
 
 def fit_gls_grid(
@@ -236,7 +251,7 @@ def fit_gls_grid(
     elif corr.rho is not None:
         V = build_correlation(corr, n)
     else:
-        rho = _estimate_rho(Z - X @ (np.linalg.pinv(X) @ Z), corr.groups)
+        rho = _estimate_rho(Z - X @ (np.linalg.pinv(X) @ Z), corr.kind, corr.groups)
     shared = V is not None and V.ndim == 2
 
     def covariance(k):

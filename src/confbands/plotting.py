@@ -337,11 +337,8 @@ def _render_2d(band: SCBand, spec: PlotSpec, levels) -> str:
     outer, inner = band.scb_up, band.scb_low
     if spec.set_type == "lower":
         outer, inner = inner, outer
-    # NaN sits only on masked nodes, which the contour skips; an infinite
-    # band limit is contoured as the largest finite value
-    surfaces = [np.nan_to_num(f) for f in (outer, band.eta_hat, inner)]
     for level in levels:
-        lines = [contour_lines(f, level) for f in surfaces]
+        lines = [contour_lines(f, level) for f in (outer, band.eta_hat, inner)]
         for group, color in zip(lines, (OUTER_COLOR, ESTIMATE_2D_COLOR, INNER_COLOR)):
             for pts in group:
                 svg.polyline(pts, color, 2.0)

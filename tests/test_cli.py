@@ -155,7 +155,8 @@ class TestScbFosr:
 
     @pytest.mark.parametrize("method", ["cma", "multiplier"])
     def test_fosr_band_with_missing_outcomes(self, tmp_path, fosr_csv, method):
-        # NA cells in every other subject: multiplier imputes and refits
+        # NA cells in every other subject: both methods calibrate from the
+        # fit's leave-one-out contributions, with no imputation
         lines = fosr_csv.read_text().splitlines()
         for k in range(1, len(lines), 5):
             if int(lines[k].split(",")[0][1:]) % 2:

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +116,20 @@ class TestAssembleBand:
         assert np.all(band.scb_low > 0) and np.all(band.scb_up < 1)
         assert np.all(band.scb_low <= prob) and np.all(prob <= band.scb_up)
         band.validate()
+
+    def test_overflowing_limits_refused(self):
+        # eta 1, se 1e300, q 1e10 overflows both limits; such a band could be
+        # plotted but not saved, so it is refused, naming the field, unwarned
+        d = Domain.grid2d(np.arange(4.0), np.arange(4.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^scb_low must be finite at unmasked cells$"):
+                assemble_band(np.ones((4, 4)), np.full((4, 4), 1e300), 1e10, 1.0, 0.05, d)
+        band = assemble_band(np.ones((4, 4)), np.ones((4, 4)), 2.0, 1.0, 0.05, d)
+        up = band.scb_up.copy()
+        up[1, 2] = np.inf
+        with pytest.raises(ValueError, match="^scb_up must be finite at unmasked cells$"):
+            dataclasses.replace(band, scb_up=up).validate()
 
     @pytest.mark.parametrize("se, q", [(0.0, 1.5), (1e-17, 1.5), (1.0, 0.0)])
     def test_logit_zero_half_width_brackets(self, rng, se, q):

@@ -12,13 +12,14 @@ from confbands.functional import (
     cma_max_stats,
     difference_penalty,
     draw_multipliers,
+    _fpca_from_residuals,
     fit_fosr,
-    impute_fpca,
     multiplier_max_stats,
     predict_target,
     scb_cma,
     scb_multiplier,
 )
+from confbands.simulate import SimDesign, generate
 
 
 def make_dataset(rng, n=20, T=40, beta1=None, noise=0.0, subject_fns=None):
@@ -61,6 +62,9 @@ class TestFitFosr:
             fit = fit_fosr(data, ("x",), k_basis=12)
         eta, _, _ = predict_target(fit, "x=1", "coefficient")
         assert np.max(np.abs(eta - beta1)) < 1e-6
+        # every leave-out is the exact least-squares fit too (K = 0), not an
+        # FPCA of the ladder-floor residue
+        assert np.max(np.abs(fit.contributions)) < 1e-8
 
     def test_planted_rank_two_fpca(self, rng):
         t = np.linspace(0, 1, 40)
@@ -93,18 +97,21 @@ class TestFitFosr:
         vals = np.linalg.eigvalsh(fit.cov_coef)
         assert vals.min() > -1e-10
 
-    @pytest.mark.parametrize("missing, n_components", [(True, None), (False, 0), (True, 0)])
+    @pytest.mark.parametrize("missing, n_components",
+                             [(True, None), (False, 0), (True, 0), (False, None)])
     def test_refit_matches_dense_oracle(self, rng, missing, n_components):
-        # the refit solved directly on the dense design W = [Z | U], with one
-        # block of score columns per subject, at the fit's own FPCA
+        # the whole pipeline solved directly on dense designs: the refit on
+        # W = [Z | U], with one block of score columns per subject, at the
+        # fit's own FPCA, and every leave-one-subject-out pipeline (penalized
+        # mean model at the fit's lambda, FPCA, refit) without subject i
         t = np.linspace(0, 1, 25)
         fns = np.column_stack([np.sqrt(2) * np.sin(2 * np.pi * t), np.cos(2 * np.pi * t)])
         data = make_dataset(rng, n=24, T=25, beta1=np.sin(2 * np.pi * t), noise=0.3,
                             subject_fns=fns)
         Y = data.outcomes.copy()
         if missing:
-            # about 10% of the cells, in every other subject, so that the
-            # FPCA still has complete rows to work from
+            # about 10% of the cells, in every other subject, so that fully
+            # and partly observed subjects mix
             Y[(rng.random(Y.shape) < 0.2) & (np.arange(24) % 2 == 0)[:, None]] = np.nan
             data = FunctionalDataset(data.ids, data.times, Y, data.covariates)
         fit = fit_fosr(data, ("x",), k_basis=8, n_components=n_components)
@@ -112,35 +119,48 @@ class TestFitFosr:
         if n_components is None:
             assert fit.eigenfunctions.shape[1] > 0 and fit.noise_variance > 0.01
 
-        n, kb = Y.shape[0], 8
+        n, T, kb = Y.shape[0], Y.shape[1], 8
         p = 2 * kb
-        K = fit.eigenfunctions.shape[1]
         B = fit.basis.matrix
         Xc = np.column_stack([np.ones(n), data.covariates["x"]])
-        rows, cols = np.nonzero(~np.isnan(Y))
-        y = Y[rows, cols]
-        Z = (Xc[rows][:, :, None] * B[cols][:, None, :]).reshape(len(y), p)
-        U = np.zeros((len(y), n * K))
-        for r, (i, j) in enumerate(zip(rows, cols)):
-            U[r, i * K:(i + 1) * K] = fit.eigenfunctions[j]
-        W = np.hstack([Z, U])
-        ridge = fit.noise_variance / np.maximum(fit.score_variances, 1e-10)
         S = np.kron(np.eye(2), difference_penalty(kb))
-        A = W.T @ W + scipy.linalg.block_diag(1e-6 * S, np.kron(np.eye(n), np.diag(ridge)))
-        b = np.linalg.solve(A, W.T @ y)
+
+        def design(keep):  # observed outcomes of subjects keep, their Z rows
+            rows, cols = np.nonzero(~np.isnan(Y[keep]))
+            subject = np.flatnonzero(keep)[rows]
+            Z = (Xc[subject][:, :, None] * B[cols][:, None, :]).reshape(len(rows), p)
+            return rows, cols, Y[subject, cols], Z
+
+        def dense_refit(keep, Phi, score_variances, noise_variance):
+            rows, cols, y, Z = design(keep)
+            K = Phi.shape[1]
+            U = np.zeros((len(y), keep.sum() * K))
+            U[np.arange(len(y))[:, None], rows[:, None] * K + np.arange(K)] = Phi[cols]
+            W = np.hstack([Z, U])
+            ridge = noise_variance / np.maximum(score_variances, 1e-10)
+            A = W.T @ W + scipy.linalg.block_diag(1e-6 * S, np.kron(np.eye(keep.sum()), np.diag(ridge)))
+            return np.linalg.solve(A, W.T @ y), y, W, A
+
+        everyone = np.ones(n, dtype=bool)
+        b, y, W, A = dense_refit(everyone, fit.eigenfunctions, fit.score_variances,
+                                 fit.noise_variance)
+        K = fit.eigenfunctions.shape[1]
         np.testing.assert_allclose(fit.coef.ravel(), b[:p], rtol=0, atol=1e-9)
         np.testing.assert_allclose(fit.scores, b[p:].reshape(n, K), rtol=0, atol=1e-9)
         edf = np.trace(np.linalg.solve(A, W.T @ W))
         sigma2 = np.sum((y - W @ b) ** 2) / (len(y) - edf)
         assert abs(fit.sigma2 - sigma2) < 1e-9
-        if missing:
-            # plug-in contributions: first p rows of A^-1 [Z_i' r_i; U_i' r_i]
-            r = y - Z @ b[:p]
-            for i in range(n):
-                rhs = W[rows == i].T @ r[rows == i]
-                np.testing.assert_allclose(
-                    fit.contributions[i], np.linalg.solve(A, rhs)[:p], rtol=0, atol=1e-9
-                )
+
+        for i in range(n):
+            keep = everyone.copy()
+            keep[i] = False
+            rows, cols, y_i, Z_i = design(keep)
+            mean_coef = np.linalg.solve(Z_i.T @ Z_i + fit.basis.lambda_ * S, Z_i.T @ y_i)
+            E = np.full((n - 1, T), np.nan)
+            E[rows, cols] = y_i - Z_i @ mean_coef
+            b_i = dense_refit(keep, *_fpca_from_residuals(E, t[1] - t[0], 0.95, n_components))[0]
+            np.testing.assert_allclose(fit.contributions[i], (n - 1) / n * (b[:p] - b_i[:p]),
+                                       rtol=0, atol=1e-9)
 
     def test_fpca_pools_every_observed_pair(self, rng):
         # exactly two complete rows: the FPCA used to take its covariance
@@ -350,44 +370,45 @@ class TestMultiplierBootstrap:
         scb_multiplier(ok, fit, None, "fitted_mean", n_boot=100, seed=0)
 
 
-class TestImpute:
-    def test_identity_when_complete(self, rng):
-        data = make_dataset(rng, n=12, T=10, noise=0.2)
-        assert impute_fpca(data) is data
+# fixed before the first run; the replicates are not chosen by their outcome
+MISSING_CELLS_SEED = 2026
 
-    def test_rank_one_exact_recovery(self):
-        t = np.linspace(0, 1, 12)
-        phi = np.sin(2 * np.pi * t) + 1.3
-        scores = np.array([3.0, -1.0, 1.0, -2.0, 2.0, 0.5])
-        Y = scores[:, None] * phi[None, :]
-        masked = Y.copy()
-        masked[0, 4] = np.nan
-        data = FunctionalDataset(
-            tuple(range(6)), t, masked, {"x": np.zeros(6)}
-        )
-        filled = impute_fpca(data, pve=0.99)
-        assert abs(filled.outcomes[0, 4] - Y[0, 4]) < 1e-6
-        # observed entries unchanged
-        obs = ~np.isnan(masked)
-        assert np.array_equal(filled.outcomes[obs], masked[obs])
 
-    def test_subject_with_too_few_points(self):
-        t = np.linspace(0, 1, 5)
-        Y = np.ones((4, 5))
-        Y[0, 1:] = np.nan
-        data = FunctionalDataset((10, 11, 12, 13), t, Y, {})
-        with pytest.raises(ValueError, match="fewer than 2.*10"):
-            impute_fpca(data)
+@pytest.fixture(scope="module")
+def fosr_missing_cells():
+    """The fosr coverage design at n=100 with 10% of the outcome cells
+    missing at random: one dataset per replicate (200) and the true
+    coefficient function."""
+    datasets = []
+    for b in range(200):
+        rng = substream(MISSING_CELLS_SEED, b)
+        data, truth = generate(SimDesign("fosr", n=100), rng)
+        Y = data.outcomes.copy()
+        Y[rng.random(Y.shape) < 0.1] = np.nan
+        datasets.append(FunctionalDataset(data.ids, data.times, Y, data.covariates))
+    return datasets, truth
 
-    def test_needs_complete_subjects(self):
-        t = np.linspace(0, 1, 5)
-        Y = np.ones((3, 5))
-        Y[0, 0] = np.nan
-        Y[1, 1] = np.nan
-        Y[2, 2] = np.nan
-        data = FunctionalDataset((0, 1, 2), t, Y, {})
-        with pytest.raises(ValueError, match="fully observed"):
-            impute_fpca(data)
+
+class TestMissingCells:
+    def test_coverage_both_methods(self, fosr_missing_cells):
+        # both calibrations perturb the fit's leave-one-out contributions,
+        # which need no complete subjects and no imputation
+        datasets, truth = fosr_missing_cells
+        covered = {"cma": 0, "multiplier": 0}
+        worst = 0.0
+        for b, data in enumerate(datasets):
+            fit = fit_fosr(data, ("x",))
+            bands = {
+                "cma": scb_cma(fit, "x=1", "coefficient", n_boot=2000, seed=b),
+                "multiplier": scb_multiplier(data, fit, "x=1", "coefficient", n_boot=2000, seed=b),
+            }
+            for method, band in bands.items():
+                covered[method] += bool(np.all((band.scb_low <= truth) & (truth <= band.scb_up)))
+            q_cma, q_mult = bands["cma"].q_alpha, bands["multiplier"].q_alpha
+            worst = max(worst, abs(q_cma - q_mult) / q_cma)
+        for method, hits in covered.items():
+            assert 0.90 <= hits / len(datasets) <= 0.99, (method, hits)
+        assert worst < 0.15
 
 
 class TestSubsetSpec:

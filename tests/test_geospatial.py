@@ -5,6 +5,7 @@ from confbands.core import substream
 from confbands.geospatial import (
     CorrelationSpec,
     SpatialObservations,
+    _estimate_rho,
     build_correlation,
     fit_gls_grid,
     fit_gls_spot,
@@ -207,14 +208,45 @@ class TestExplicitPerSpotCovariance:
         assert str(info.value) == "V must have shape (20, 20) or (4, 3, 20, 20), got (21, 21)"
 
 
-def _per_spot_rho(resid, groups):
-    """Lag-1 Yule-Walker estimate for one spot's residual vector."""
-    num = 0.0
+def _per_spot_rho(resid, kind, groups):
+    """Moment estimate of rho for one spot's residual vector: the lag-1
+    Yule-Walker estimate for AR(1); for compound symmetry the mean product
+    over distinct same-group pairs divided by the mean square."""
+    den = float(resid @ resid)
+    if den == 0:
+        return 0.0
+    num = pairs = 0.0
     for g in dict.fromkeys(groups.tolist()):
         e = resid[groups == g]
-        num += float(e[:-1] @ e[1:])
-    den = float(resid @ resid)
-    return float(np.clip(num / den, -0.99, 0.99)) if den > 0 else 0.0
+        if kind == "ar1":
+            num += float(e[:-1] @ e[1:])
+        else:
+            products = np.outer(e, e)
+            num += float(products.sum() - np.trace(products))
+            pairs += e.size * (e.size - 1)
+    if kind == "ar1":
+        return float(np.clip(num / den, -0.99, 0.99))
+    return float(np.clip((num / pairs) / (den / resid.size), 0.0, 0.99))
+
+
+class TestEstimatedCompoundSymmetry:
+    @pytest.mark.parametrize("groups", [None, np.repeat(np.arange(6), 10)])
+    def test_white_noise_fits(self, groups):
+        # iid noise has no within-group correlation, so every spot's estimate
+        # must stay in the positive-definite range of compound symmetry
+        n = 60
+        X = np.column_stack([np.ones(n), np.linspace(-1.0, 1.0, n)])
+        data = SpatialObservations(np.arange(6.0), np.arange(5.0),
+                                   substream(31).standard_normal((n, 6, 5)))
+        fit, _ = fit_gls_grid(data, X, [0.0, 1.0], CorrelationSpec("comp_symm", groups=groups))
+        assert np.all(np.isfinite(fit.se)) and np.all(fit.se > 0)
+
+    def test_shared_group_effect_is_recovered(self):
+        # a within-group effect of variance 1 over unit noise: rho = 0.5
+        rng = substream(32)
+        groups = np.repeat(np.arange(1000), 5)
+        resid = rng.standard_normal((5000, 8)) + np.repeat(rng.standard_normal((1000, 8)), 5, axis=0)
+        np.testing.assert_allclose(_estimate_rho(resid, "comp_symm", groups), 0.5, atol=0.03)
 
 
 class TestGridMatchesSpotOracle:
@@ -258,7 +290,7 @@ class TestGridMatchesSpotOracle:
             if case == "none":
                 V = np.eye(n)
             elif case.endswith("_estimated"):
-                rho = _per_spot_rho(z - X @ (ols @ z), groups)
+                rho = _per_spot_rho(z - X @ (ols @ z), spec.kind, groups)
                 V = build_correlation(CorrelationSpec(spec.kind, rho=rho, groups=groups), n)
             elif spec.kind == "explicit":
                 V = spec.V if spec.V.ndim == 2 else spec.V[i, j]
