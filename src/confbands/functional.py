@@ -403,9 +403,20 @@ def fit_fosr(
     Phi, sigma_k2, noise = fpca(Y - mean_curves(theta1))
     K = Phi.shape[1]
     ridge = noise / np.maximum(sigma_k2, 1e-10)
-    theta, M = refit(Phi, ridge)
-    Sinv = solve(M, np.eye(p))
-    C, A22inv = score_blocks(obs, Phi, ridge)
+    try:
+        theta, M = refit(Phi, ridge)
+        Sinv = solve(M, np.eye(p))
+        C, A22inv = score_blocks(obs, Phi, ridge)
+    except np.linalg.LinAlgError:
+        # with zero noise the ridge is 0, and Phi' O_i Phi has rank below K
+        # for a subject with fewer than K observed cells
+        short = ", ".join(repr(data.ids[i]) for i in np.flatnonzero(obs.sum(axis=1) < K))
+        if noise > 0 or not short:
+            raise
+        raise ValueError(
+            f"the score block Phi' O_i Phi + ridge is singular for subject(s) {short}: "
+            f"fewer observed cells than K = {K}, with zero noise variance"
+        ) from None
     A12 = kron_x(C)  # (n, p, K): Z_i' U_i
     G = A12 @ A22inv
     xi = np.einsum("nkl,nl->nk", A22inv, Y0 @ Phi - theta @ A12)

@@ -3,7 +3,9 @@ multiplier bootstrap band for a linear functional of the coefficients.
 
 Each spot is fit under a within-spot error covariance (AR(1), compound
 symmetry, an explicit matrix, or none) by one whitened GLS solve; spots
-that share one covariance are solved together in a single call. The band for
+that share one covariance are solved together in a single call. AR(1) with
+rho estimated per spot is whitened in closed form, by the inverse of each
+spot's Cholesky factor, for all spots at once. The band for
 eta(s) = w'beta(s) reuses the multiplier-t machinery on whitened
 per-observation contributions, with one multiplier draw per observation
 shared across spots.
@@ -185,6 +187,55 @@ def fit_gls_spot(X, z, V) -> tuple[np.ndarray, np.ndarray]:
     return beta, sigma2 * XtX_inv
 
 
+def _ar1_whiten(A, rho, groups):
+    """L^-1 A along axis -2 (the observations), L being the Cholesky factor
+    of the AR(1) correlation with parameter rho (which broadcasts against A)
+    within each group.
+
+    Within each group, in index order, the first observation is kept and a
+    later one becomes (a_t - rho a_prev) / sqrt(1 - rho^2), a_prev the
+    group's previous observation. a_prev has the lower index, so for any
+    group labels the map is lower triangular: it is L^-1, not just any
+    square root of the inverse correlation.
+    """
+    n = A.shape[-2]
+    prev = np.arange(n)  # a first observation is its own "previous", at weight 0
+    later = np.zeros((n, 1), dtype=bool)
+    for idx in _group_slices(groups, n):
+        prev[idx[1:]] = idx[:-1]
+        later[idx[1:]] = True
+    r = np.where(later, rho, 0.0)
+    return (A - r * A[..., prev, :]) / np.sqrt(1.0 - r**2)
+
+
+def _fit_ar1_whitened(X, Z, w, rho, groups):
+    """GLS at every spot (column of Z) under AR(1) correlation with the
+    spot's own rho: X and Z whitened for all spots at once, then one stack
+    of p x p solves.
+
+    Returns (beta, se, contrib, singular): the (p, S) coefficients, the SE
+    of w'beta, the (n, S) whitened per-observation contributions, and the
+    indices of the spots whose whitened design is singular (when there are
+    any, the other three are None).
+    """
+    n, p = X.shape
+    Xw = _ar1_whiten(X, rho[:, None, None], groups)  # (S, n, p)
+    Zw = _ar1_whiten(Z, rho, groups)  # (n, S)
+    gram = Xw.transpose(0, 2, 1) @ Xw
+    try:
+        XtX_inv = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        # det and inv share one LU factorization: det is 0 where inv meets a zero pivot
+        return None, None, None, np.flatnonzero(np.linalg.det(gram) == 0.0)
+    beta = (XtX_inv @ np.einsum("snp,ns->sp", Xw, Zw)[:, :, None])[:, :, 0]  # (S, p)
+    resid = Zw - np.einsum("snp,sp->ns", Xw, beta)
+    c = XtX_inv @ w  # (S, p)
+    sigma2 = np.einsum("ns,ns->s", resid, resid) / (n - p)
+    se = np.sqrt(np.maximum(sigma2 * (c @ w), 0.0))
+    contrib = n * np.einsum("snp,sp->ns", Xw, c) * resid
+    return beta.T, se, contrib, []
+
+
 def _estimate_rho(resid: np.ndarray, kind: str, groups) -> np.ndarray:
     """Moment estimate of rho for each column of an (n, S) residual matrix,
     from pairs within groups only; 0 for a zero column.
@@ -217,11 +268,13 @@ def fit_gls_grid(
     """Fit GLS at every unmasked spot.
 
     Spots that share one covariance (none, fixed rho, an (n, n) explicit V)
-    are solved together; a per-spot covariance (estimated rho, an
-    (nx, ny, n, n) explicit V) is solved spot by spot. Returns the per-spot fit fields together with
-    the (n_obs, n_spots) matrix of whitened per-observation contributions to
-    eta_hat, used by the multiplier bootstrap. Any spot failure aborts with
-    the offending coordinates listed.
+    are solved together. AR(1) with rho estimated per spot is whitened in
+    closed form for all spots at once, followed by one stack of p x p
+    solves. Any other per-spot covariance (estimated compound symmetry, an
+    (nx, ny, n, n) explicit V) is solved spot by spot. Returns the per-spot
+    fit fields together with the (n_obs, n_spots) matrix of whitened
+    per-observation contributions to eta_hat, used by the multiplier
+    bootstrap. Any spot failure aborts with the offending coordinates listed.
     """
     X = np.asarray(design, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -259,20 +312,27 @@ def fit_gls_grid(
             return build_correlation(CorrelationSpec(corr.kind, float(rho[k]), groups=corr.groups), n)
         return V if shared else V[tuple(spots[k])]
 
-    beta = np.empty((p, len(spots)))
-    se = np.empty(len(spots))
-    contrib = np.empty_like(Z)
+    def failed(cols, reason):  # one "(x, y): reason" entry per spot in cols
+        return [f"({data.x[i]:g}, {data.y[j]:g}): {reason}" for i, j in spots[cols]]
+
     failures = []
-    for cols in [slice(None)] if shared else [slice(k, k + 1) for k in range(len(spots))]:
-        try:
-            beta[:, cols], XtX_inv, Xw, resid = _gls_solve(covariance(cols.start), X, Z[:, cols])
-        except ValueError as exc:
-            failures += [f"({data.x[i]:g}, {data.y[j]:g}): {exc}" for i, j in spots[cols]]
-            continue
-        c = XtX_inv @ w
-        sigma2 = np.einsum("ns,ns->s", resid, resid) / (n - p)
-        se[cols] = np.sqrt(np.maximum(sigma2 * (w @ c), 0.0))
-        contrib[:, cols] = n * (Xw @ c)[:, None] * resid
+    if V is None and corr.kind == "ar1":
+        beta, se, contrib, singular = _fit_ar1_whitened(X, Z, w, rho, corr.groups)
+        failures = failed(singular, "design matrix is singular")
+    else:
+        beta = np.empty((p, len(spots)))
+        se = np.empty(len(spots))
+        contrib = np.empty_like(Z)
+        for cols in [slice(None)] if shared else [slice(k, k + 1) for k in range(len(spots))]:
+            try:
+                beta[:, cols], XtX_inv, Xw, resid = _gls_solve(covariance(cols.start), X, Z[:, cols])
+            except ValueError as exc:
+                failures += failed(cols, exc)
+                continue
+            c = XtX_inv @ w
+            sigma2 = np.einsum("ns,ns->s", resid, resid) / (n - p)
+            se[cols] = np.sqrt(np.maximum(sigma2 * (w @ c), 0.0))
+            contrib[:, cols] = n * (Xw @ c)[:, None] * resid
     if failures:
         raise ValueError("GLS fit failed at spots: " + "; ".join(failures))
 

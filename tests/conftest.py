@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from confbands.core import Domain, assemble_band
+from confbands.functional import FunctionalDataset
 
 
 def random_band(rng, kind="grid1d", max_len=200, max_side=30, masked=False):
@@ -32,6 +33,27 @@ def random_band(rng, kind="grid1d", max_len=200, max_side=30, masked=False):
     se = rng.uniform(0.0, 1.5, shape)
     q = float(rng.uniform(0.0, 4.0))
     return assemble_band(eta, se, q, 1.0, 0.05, domain)
+
+
+def one_cell_fosr():
+    """Ten subjects on six times, s2-s9 observed at one cell each: the FPCA
+    of these residuals keeps K = 2 at zero noise variance, so the score ridge
+    is 0 and those eight subjects' score blocks are singular."""
+    rng = np.random.default_rng(3)
+    n, T = 10, 6
+    t = np.linspace(0.0, 1.0, T)
+    x = (np.arange(n) % 2).astype(float)
+    Y = x[:, None] * t[None, :] + 0.3 * rng.standard_normal((n, T))
+    cells = rng.integers(0, T, n)
+    for i in range(2, n):
+        Y[i, np.arange(T) != cells[i]] = np.nan
+    return FunctionalDataset(tuple(f"s{i}" for i in range(n)), t, Y, {"x": x})
+
+
+ONE_CELL_FOSR_ERROR = (
+    "the score block Phi' O_i Phi + ridge is singular for subject(s) 's2', 's3', 's4', 's5', "
+    "'s6', 's7', 's8', 's9': fewer observed cells than K = 2, with zero noise variance"
+)
 
 
 def _increasing(draw, n):

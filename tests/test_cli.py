@@ -7,7 +7,7 @@ import pytest
 
 from confbands.cli import main
 from confbands.core import band_from_json, band_to_json
-from conftest import random_band
+from conftest import ONE_CELL_FOSR_ERROR, one_cell_fosr, random_band
 
 
 @pytest.fixture
@@ -174,6 +174,23 @@ class TestScbFosr:
         band = band_from_json(out.read_text())
         assert band.domain.shape == (12,)
         assert np.all(np.isfinite(band.scb_low)) and np.all(band.scb_up > band.scb_low)
+
+    @pytest.mark.parametrize("k_basis", [4, 6])
+    def test_singular_score_block_invalid_input(self, tmp_path, capsys, k_basis):
+        data = one_cell_fosr()
+        lines = ["id,time,outcome,x"] + [
+            f"{sid},{t!r},{v!r},{x!r}"
+            for sid, row, x in zip(data.ids, data.outcomes.tolist(), data.covariates["x"].tolist())
+            for t, v in zip(data.times.tolist(), row) if not np.isnan(v)
+        ]
+        path = tmp_path / "one_cell.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code = run(["scb", "fosr", "--data", path, "--kbasis", k_basis, "--nboot", 50,
+                    "--quiet", "--out", tmp_path / "band.json"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "invalid_input"
+        assert err["message"] == ONE_CELL_FOSR_ERROR
 
     def test_conflicting_subject_covariate_invalid_input(self, tmp_path, fosr_csv, capsys):
         # a NaN covariate on one row of s0 used to be ignored, exiting 0

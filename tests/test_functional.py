@@ -20,6 +20,7 @@ from confbands.functional import (
     scb_multiplier,
 )
 from confbands.simulate import SimDesign, generate
+from conftest import ONE_CELL_FOSR_ERROR, one_cell_fosr
 
 
 def make_dataset(rng, n=20, T=40, beta1=None, noise=0.0, subject_fns=None):
@@ -177,6 +178,14 @@ class TestFitFosr:
                        ("x",), k_basis=8)
         assert fit.noise_variance > 0.01
         assert fit.eigenfunctions.shape[1] >= 2
+
+    @pytest.mark.parametrize("k_basis", [4, 6])
+    def test_singular_score_block_names_subjects(self, k_basis):
+        # used to raise a bare LinAlgError from the full fit's score blocks
+        with pytest.raises(ValueError) as info:
+            fit_fosr(one_cell_fosr(), ("x",), k_basis=k_basis)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+        assert str(info.value) == ONE_CELL_FOSR_ERROR
 
     def test_needs_ten_subjects(self, rng):
         data = make_dataset(rng, n=12, T=10, noise=0.1)

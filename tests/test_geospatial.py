@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from confbands import geospatial
 from confbands.core import substream
 from confbands.geospatial import (
     CorrelationSpec,
@@ -253,16 +254,20 @@ class TestGridMatchesSpotOracle:
     """Every spot of fit_gls_grid against fit_gls_spot with that spot's V."""
 
     @pytest.mark.parametrize(
-        "case", ["none", "ar1", "ar1_groups", "explicit_2d", "explicit_per_spot", "ar1_estimated",
-                 "comp_symm", "comp_symm_estimated"]
+        "case", ["none", "ar1", "ar1_groups", "ar1_interleaved", "explicit_2d", "explicit_per_spot",
+                 "ar1_estimated", "ar1_estimated_interleaved", "ar1_estimated_singleton",
+                 "ar1_estimated_clipped", "comp_symm", "comp_symm_estimated"]
     )
     def test_every_spot_matches(self, case, rng):
         mask = np.ones((5, 4), dtype=bool)
         mask[0, :2] = False
-        data, X, _ = planted_field(nx=5, ny=4, n_obs=24, noise=0.5, seed=21, mask=mask)
-        n = data.n_obs
+        # the clipped case needs room for a residual whose lag-1
+        # autocorrelation exceeds +0.99 outside the design's column space
+        n = 120 if case == "ar1_estimated_clipped" else 24
+        data, X, _ = planted_field(nx=5, ny=4, n_obs=n, noise=0.5, seed=21, mask=mask)
         w = np.array([1.0, 0.5, 0.0, -1.0])
         groups = np.repeat([0, 1, 2], n // 3)
+        interleaved = np.arange(n) % 3
         A = rng.standard_normal((n, n))
         per_spot = np.empty((5, 4, n, n))
         for i in range(5):
@@ -272,9 +277,14 @@ class TestGridMatchesSpotOracle:
             "none": CorrelationSpec("none"),
             "ar1": CorrelationSpec("ar1", rho=0.4),
             "ar1_groups": CorrelationSpec("ar1", rho=0.4, groups=groups),
+            "ar1_interleaved": CorrelationSpec("ar1", rho=0.4, groups=interleaved),
             "explicit_2d": CorrelationSpec("explicit", V=A @ A.T + n * np.eye(n)),
             "explicit_per_spot": CorrelationSpec("explicit", V=per_spot),
             "ar1_estimated": CorrelationSpec("ar1", groups=groups),
+            "ar1_estimated_interleaved": CorrelationSpec("ar1", groups=interleaved),
+            # one observation alone in group 3, inside group 0's run
+            "ar1_estimated_singleton": CorrelationSpec("ar1", groups=np.where(np.arange(n) == 5, 3, groups)),
+            "ar1_estimated_clipped": CorrelationSpec("ar1"),
             "comp_symm": CorrelationSpec("comp_symm", rho=0.3),
             "comp_symm_estimated": CorrelationSpec("comp_symm", groups=groups),
         }[case]
@@ -283,15 +293,28 @@ class TestGridMatchesSpotOracle:
             # inside the positive-definite range of compound symmetry
             shared = 2.0 * np.repeat(rng.standard_normal((3, 5, 4)), n // 3, axis=0)
             data = SpatialObservations(data.x, data.y, data.values + shared, mask)
+        if case == "ar1_estimated_clipped":
+            # residuals along the extreme eigenvectors of the lag-1 product
+            # restricted to the residual space: autocorrelation 0.992 and
+            # -0.999, so the estimate clips at +0.99 and -0.99 there
+            resid_space = np.eye(n) - X @ np.linalg.pinv(X)
+            lag1 = np.diag(np.full(n - 1, 0.5), 1)
+            vecs = np.linalg.eigh(resid_space @ (lag1 + lag1.T) @ resid_space)[1]
+            values = data.values.copy()
+            values[:, 1, 0] = 10.0 * vecs[:, -1]
+            values[:, 2, 1] = 10.0 * vecs[:, 0]
+            data = SpatialObservations(data.x, data.y, values, mask)
+        labels = np.zeros(n) if spec.groups is None else spec.groups
         fit, contrib = fit_gls_grid(data, X, w, spec)
         ols = np.linalg.pinv(X)
+        rhos = []
         for k, (i, j) in enumerate(np.argwhere(mask)):
             z = data.values[:, i, j]
             if case == "none":
                 V = np.eye(n)
-            elif case.endswith("_estimated"):
-                rho = _per_spot_rho(z - X @ (ols @ z), spec.kind, groups)
-                V = build_correlation(CorrelationSpec(spec.kind, rho=rho, groups=groups), n)
+            elif case.startswith(("ar1_estimated", "comp_symm_estimated")):
+                rhos.append(_per_spot_rho(z - X @ (ols @ z), spec.kind, labels))
+                V = build_correlation(CorrelationSpec(spec.kind, rho=rhos[-1], groups=spec.groups), n)
             elif spec.kind == "explicit":
                 V = spec.V if spec.V.ndim == 2 else spec.V[i, j]
             else:
@@ -307,6 +330,8 @@ class TestGridMatchesSpotOracle:
             np.testing.assert_allclose(contrib[:, k], expected, rtol=0, atol=1e-10)
         assert np.isnan(fit.eta[~mask]).all() and np.isnan(fit.beta[~mask]).all()
         assert contrib.shape == (n, mask.sum())
+        if case == "ar1_estimated_clipped":
+            assert rhos.count(0.99) == 1 and rhos.count(-0.99) == 1
 
     def test_one_non_pd_spot_is_listed_alone(self):
         data, X, _ = planted_field(nx=4, ny=3, n_obs=20, noise=0.5, seed=9)
@@ -317,6 +342,25 @@ class TestGridMatchesSpotOracle:
             fit_gls_grid(data, X, [1.0, 0, 0, 0], CorrelationSpec("explicit", V=V))
         assert str(info.value) == (
             "GLS fit failed at spots: (2, 1): covariance V is singular or not positive definite"
+        )
+
+    def test_estimated_ar1_builds_no_correlation_matrix(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(geospatial, "build_correlation",
+                            lambda *args: calls.append(args) or build_correlation(*args))
+        data, X, _ = planted_field(nx=4, ny=3, n_obs=24, noise=0.5, seed=9)
+        for groups in (None, np.arange(24) % 3):
+            fit_gls_grid(data, X, [1.0, 0, 0, 0], CorrelationSpec("ar1", groups=groups))
+        assert calls == []
+
+    def test_estimated_ar1_singular_design_lists_every_spot(self):
+        data, X, _ = planted_field(nx=3, ny=2, n_obs=20, noise=0.5, seed=9)
+        X = X.copy()
+        X[:, 2] = 0.0
+        with pytest.raises(ValueError) as info:
+            fit_gls_grid(data, X, [1.0, 0, 0, 0], CorrelationSpec("ar1"))
+        assert str(info.value) == "GLS fit failed at spots: " + "; ".join(
+            f"({i}, {j}): design matrix is singular" for i in range(3) for j in range(2)
         )
 
     def test_shared_non_pd_lists_every_spot(self):
