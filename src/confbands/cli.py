@@ -177,7 +177,10 @@ def _cmd_scb_gls(args):
     design = np.loadtxt(args.design, delimiter=",", skiprows=args.design_header)
     if design.ndim == 1:
         design = design[:, None]
-    w = np.asarray([float(v) for v in args.w.split(",")])
+    try:
+        w = np.asarray([float(v) for v in args.w.split(",")])
+    except ValueError:
+        raise ValueError(f"--w must be comma-separated numbers, got {args.w!r}") from None
     kind = {"ar1": "ar1", "compsymm": "comp_symm", "none": "none"}[args.correlation]
     corr = geospatial.CorrelationSpec(kind, rho=args.rho)
     _progress(args, f"fitting GLS at {int(data.mask_array().sum())} spots")

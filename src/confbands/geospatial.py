@@ -1,14 +1,16 @@
 """Spot-wise generalized least squares over a masked 2D grid and a
 multiplier bootstrap band for a linear functional of the coefficients.
 
-Each spot is fit under a within-spot error covariance (AR(1), compound
-symmetry, an explicit matrix, or none) by one whitened GLS solve; spots
-that share one covariance are solved together in a single call. AR(1) with
-rho estimated per spot is whitened in closed form, by the inverse of each
-spot's Cholesky factor, for all spots at once. The band for
-eta(s) = w'beta(s) reuses the multiplier-t machinery on whitened
-per-observation contributions, with one multiplier draw per observation
-shared across spots.
+Every spot is fit by one rule, whatever its within-spot error correlation
+(AR(1), compound symmetry, an explicit covariance, or none): the design and
+the data are whitened by the inverse Cholesky factor of the spot's
+correlation, then one stack of p x p Gram inverses fits every spot. The
+inverse factor has a closed form for AR(1) and compound symmetry (none is
+AR(1) with rho = 0); an explicit covariance is factored as one stack. Spots
+that share one correlation share one whitened design and one Gram inverse.
+The band for eta(s) = w'beta(s) reuses the multiplier-t machinery on
+whitened per-observation contributions, with one multiplier draw per
+observation shared across spots.
 """
 
 from __future__ import annotations
@@ -77,10 +79,11 @@ class SpatialObservations:
 @dataclass(frozen=True)
 class CorrelationSpec:
     """Within-spot error correlation: ar1(rho), comp_symm(rho), an explicit
-    per-spot (or shared) covariance, or none. ``rho=None`` requests
+    per-spot (or shared) covariance V, or none. ``rho=None`` requests
     estimation from lag-1 OLS residual autocorrelation, held fixed
     afterwards. ``groups`` partitions the observation axis; correlation is
-    zero across groups."""
+    zero across groups. rho and groups apply to ar1 and comp_symm only, V
+    to explicit only."""
 
     kind: str = "none"
     rho: float | None = None
@@ -90,6 +93,10 @@ class CorrelationSpec:
     def __post_init__(self):
         if self.kind not in ("ar1", "comp_symm", "explicit", "none"):
             raise ValueError(f"unknown correlation kind {self.kind!r}")
+        for field, kinds in (("rho", ("ar1", "comp_symm")), ("V", ("explicit",)),
+                             ("groups", ("ar1", "comp_symm"))):
+            if getattr(self, field) is not None and self.kind not in kinds:
+                raise ValueError(f"correlation kind {self.kind!r} takes no {field}")
         if self.kind == "explicit" and self.V is None:
             raise ValueError("explicit correlation needs V")
         if self.rho is not None and not (-1.0 < self.rho < 1.0):
@@ -151,89 +158,86 @@ class GLSFit:
     se: np.ndarray  # (n_x, n_y)
 
 
-def _gls_solve(V, X, Z):
-    """Whiten by the Cholesky factor of V and solve GLS for every column of
-    Z (or for a single vector z).
-
-    Returns (beta, XtX_inv, Xw, resid): the coefficients, one column per
-    column of Z, the inverse whitened Gram matrix, the whitened design and
-    the whitened residuals.
-    """
-    n, p = X.shape
-    if n <= p:
-        raise ValueError("need more observations than design columns")
-    try:
-        L = np.linalg.cholesky(V)
-    except np.linalg.LinAlgError:
-        raise ValueError("covariance V is singular or not positive definite") from None
-    Xw = scipy.linalg.solve_triangular(L, X, lower=True)
-    Zw = scipy.linalg.solve_triangular(L, Z, lower=True)
-    try:
-        XtX_inv = np.linalg.inv(Xw.T @ Xw)
-    except np.linalg.LinAlgError:
-        raise ValueError("design matrix is singular") from None
-    beta = XtX_inv @ (Xw.T @ Zw)
-    return beta, XtX_inv, Xw, Zw - Xw @ beta
-
-
 def fit_gls_spot(X, z, V) -> tuple[np.ndarray, np.ndarray]:
     """GLS at one spot via whitening: beta = (X'V^-1 X)^-1 X'V^-1 z, with
     the coefficient covariance scaled by the whitened residual variance
     RSS/(n - p)."""
     X = np.asarray(X, dtype=float)
     z = np.asarray(z, dtype=float)
-    beta, XtX_inv, _, resid = _gls_solve(np.asarray(V, dtype=float), X, z)
-    sigma2 = float(resid @ resid) / (X.shape[0] - X.shape[1])
+    n, p = X.shape
+    if n <= p:
+        raise ValueError("need more observations than design columns")
+    try:
+        L = np.linalg.cholesky(np.asarray(V, dtype=float))
+    except np.linalg.LinAlgError:
+        raise ValueError("covariance V is singular or not positive definite") from None
+    Xw = scipy.linalg.solve_triangular(L, X, lower=True)
+    zw = scipy.linalg.solve_triangular(L, z, lower=True)
+    try:
+        XtX_inv = np.linalg.inv(Xw.T @ Xw)
+    except np.linalg.LinAlgError:
+        raise ValueError("design matrix is singular") from None
+    beta = XtX_inv @ (Xw.T @ zw)
+    resid = zw - Xw @ beta
+    sigma2 = float(resid @ resid) / (n - p)
     return beta, sigma2 * XtX_inv
 
 
-def _ar1_whiten(A, rho, groups):
+def _whiten(A, rho, kind, groups):
     """L^-1 A along axis -2 (the observations), L being the Cholesky factor
-    of the AR(1) correlation with parameter rho (which broadcasts against A)
-    within each group.
+    of the AR(1) or compound-symmetry correlation with parameter rho (which
+    broadcasts against A) within each group.
 
-    Within each group, in index order, the first observation is kept and a
-    later one becomes (a_t - rho a_prev) / sqrt(1 - rho^2), a_prev the
-    group's previous observation. a_prev has the lower index, so for any
+    Each observation, in index order, becomes its standardized innovation
+    given the earlier ones: (a_t - b_t s_t) / sqrt(1 - k_t rho b_t), where
+    s_t sums the k_t earlier observations of a_t's group that a_t depends on
+    (the previous one for AR(1), all of them for compound symmetry) and
+    b_t = rho / (1 + (k_t - 1) rho). Those have lower indices, so for any
     group labels the map is lower triangular: it is L^-1, not just any
     square root of the inverse correlation.
     """
     n = A.shape[-2]
-    prev = np.arange(n)  # a first observation is its own "previous", at weight 0
-    later = np.zeros((n, 1), dtype=bool)
+    earlier = np.zeros((n, n))  # earlier[t, u] = 1 where a_u is part of s_t
     for idx in _group_slices(groups, n):
-        prev[idx[1:]] = idx[:-1]
-        later[idx[1:]] = True
-    r = np.where(later, rho, 0.0)
-    return (A - r * A[..., prev, :]) / np.sqrt(1.0 - r**2)
+        if kind == "ar1":
+            earlier[idx[1:], idx[:-1]] = 1.0
+        elif np.any(rho * (idx.size - 1) <= -1.0):
+            raise ValueError(
+                f"compound symmetry with rho={rho} is not positive definite "
+                f"for group size {idx.size}"
+            )
+        else:
+            earlier[np.ix_(idx, idx)] = np.tri(idx.size, k=-1)
+    k = earlier.sum(axis=1)[:, None]
+    b = rho / (1.0 + (k - 1.0) * rho)
+    return (A - b * (earlier @ A)) / np.sqrt(1.0 - k * rho * b)
 
 
-def _fit_ar1_whitened(X, Z, w, rho, groups):
-    """GLS at every spot (column of Z) under AR(1) correlation with the
-    spot's own rho: X and Z whitened for all spots at once, then one stack
-    of p x p solves.
+def _fit_whitened(Xw, Zw, w):
+    """GLS at every spot (column of the (n, S) whitened data Zw) from its
+    whitened design: Xw holds one (n, p) design per spot, or a single one
+    that every spot shares. One stack of p x p Gram inverses, one per design.
 
     Returns (beta, se, contrib, singular): the (p, S) coefficients, the SE
-    of w'beta, the (n, S) whitened per-observation contributions, and the
-    indices of the spots whose whitened design is singular (when there are
-    any, the other three are None).
+    of w'beta, the (n, S) whitened per-observation contributions, and one
+    flag per spot whose whitened design is singular (when any is set, the
+    other three are None).
     """
-    n, p = X.shape
-    Xw = _ar1_whiten(X, rho[:, None, None], groups)  # (S, n, p)
-    Zw = _ar1_whiten(Z, rho, groups)  # (n, S)
-    gram = Xw.transpose(0, 2, 1) @ Xw
+    n, S = Zw.shape
+    XwT = Xw.transpose(0, 2, 1)
+    gram = XwT @ Xw
     try:
         XtX_inv = np.linalg.inv(gram)
     except np.linalg.LinAlgError:
         # det and inv share one LU factorization: det is 0 where inv meets a zero pivot
-        return None, None, None, np.flatnonzero(np.linalg.det(gram) == 0.0)
-    beta = (XtX_inv @ np.einsum("snp,ns->sp", Xw, Zw)[:, :, None])[:, :, 0]  # (S, p)
-    resid = Zw - np.einsum("snp,sp->ns", Xw, beta)
-    c = XtX_inv @ w  # (S, p)
-    sigma2 = np.einsum("ns,ns->s", resid, resid) / (n - p)
+        return None, None, None, np.broadcast_to(np.linalg.det(gram) == 0.0, (S,))
+    beta = (XtX_inv @ (XwT @ Zw.T[:, :, None]))[:, :, 0]  # (S, p)
+    resid = Zw - (Xw @ beta[:, :, None])[:, :, 0].T
+    c = XtX_inv @ w  # (S, p), or (1, p) for a shared design
+    sigma2 = np.einsum("ns,ns->s", resid, resid) / (n - Xw.shape[-1])
     se = np.sqrt(np.maximum(sigma2 * (c @ w), 0.0))
-    contrib = n * np.einsum("snp,sp->ns", Xw, c) * resid
-    return beta.T, se, contrib, []
+    contrib = n * (Xw @ c[:, :, None])[:, :, 0].T * resid
+    return beta.T, se, contrib, np.zeros(S, dtype=bool)
 
 
 def _estimate_rho(resid: np.ndarray, kind: str, groups) -> np.ndarray:
@@ -267,14 +271,17 @@ def fit_gls_grid(
 ) -> tuple[GLSFit, np.ndarray]:
     """Fit GLS at every unmasked spot.
 
-    Spots that share one covariance (none, fixed rho, an (n, n) explicit V)
-    are solved together. AR(1) with rho estimated per spot is whitened in
-    closed form for all spots at once, followed by one stack of p x p
-    solves. Any other per-spot covariance (estimated compound symmetry, an
-    (nx, ny, n, n) explicit V) is solved spot by spot. Returns the per-spot
-    fit fields together with the (n_obs, n_spots) matrix of whitened
-    per-observation contributions to eta_hat, used by the multiplier
-    bootstrap. Any spot failure aborts with the offending coordinates listed.
+    Every correlation kind takes one path: the design and the data are
+    whitened by the inverse Cholesky factor of each spot's correlation (in
+    closed form for none, AR(1) and compound symmetry, with rho fixed or
+    estimated per spot and any group labels; by one stacked Cholesky
+    factorization for an explicit V), then one stack of p x p solves fits
+    every spot. Spots that share one correlation (none, a fixed rho, an
+    (n, n) V) share one whitened design and one Gram inverse. Returns the
+    per-spot fit fields together with the (n_obs, n_spots) matrix of
+    whitened per-observation contributions to eta_hat, used by the
+    multiplier bootstrap. Any spot failure aborts with the offending
+    coordinates listed.
     """
     X = np.asarray(design, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -283,6 +290,9 @@ def fit_gls_grid(
         raise ValueError("design rows must match the number of observations")
     if w.shape != (p,):
         raise ValueError("w must have one weight per design column")
+    for name, values in (("design", X), ("w", w)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite")
     if n <= p:
         raise ValueError("need more observations than design columns")
     corr = corr or CorrelationSpec("none")
@@ -292,49 +302,36 @@ def fit_gls_grid(
         raise ValueError("all spots are masked")
     Z = data.values[:, mask]  # (n, n_spots), spots in the order of ``spots``
 
-    V = None
-    if corr.kind == "none":
-        V = np.eye(n)
-    elif corr.kind == "explicit":
+    def fail(bad, reason):  # one "(x, y): reason" entry per flagged spot; one flag may stand for all
+        bad = np.broadcast_to(bad, len(spots))
+        entries = [f"({data.x[i]:g}, {data.y[j]:g}): {reason}" for i, j in spots[bad]]
+        raise ValueError("GLS fit failed at spots: " + "; ".join(entries))
+
+    if corr.kind == "explicit":
         V = np.asarray(corr.V, dtype=float)
         if V.shape not in ((n, n), mask.shape + (n, n)):
             raise ValueError(
                 f"V must have shape ({n}, {n}) or {mask.shape + (n, n)}, got {V.shape}"
             )
-    elif corr.rho is not None:
-        V = build_correlation(corr, n)
+        V = V[None] if V.ndim == 2 else V[mask]  # one V for all spots, or one per spot
+        if not np.all(np.isfinite(V)):
+            raise ValueError("V must be finite at unmasked spots")
+        try:
+            Linv = np.linalg.inv(np.linalg.cholesky(V))
+        except np.linalg.LinAlgError:  # the stack fails as a whole: factor it V by V
+            not_pd = [scipy.linalg.lapack.dpotrf(v, lower=True)[1] != 0 for v in V]
+            fail(not_pd, "covariance V is singular or not positive definite")
+        Xw, Zw = Linv @ X, (Linv @ Z.T[:, :, None])[:, :, 0].T
     else:
-        rho = _estimate_rho(Z - X @ (np.linalg.pinv(X) @ Z), corr.kind, corr.groups)
-    shared = V is not None and V.ndim == 2
-
-    def covariance(k):
-        if V is None:
-            return build_correlation(CorrelationSpec(corr.kind, float(rho[k]), groups=corr.groups), n)
-        return V if shared else V[tuple(spots[k])]
-
-    def failed(cols, reason):  # one "(x, y): reason" entry per spot in cols
-        return [f"({data.x[i]:g}, {data.y[j]:g}): {reason}" for i, j in spots[cols]]
-
-    failures = []
-    if V is None and corr.kind == "ar1":
-        beta, se, contrib, singular = _fit_ar1_whitened(X, Z, w, rho, corr.groups)
-        failures = failed(singular, "design matrix is singular")
-    else:
-        beta = np.empty((p, len(spots)))
-        se = np.empty(len(spots))
-        contrib = np.empty_like(Z)
-        for cols in [slice(None)] if shared else [slice(k, k + 1) for k in range(len(spots))]:
-            try:
-                beta[:, cols], XtX_inv, Xw, resid = _gls_solve(covariance(cols.start), X, Z[:, cols])
-            except ValueError as exc:
-                failures += failed(cols, exc)
-                continue
-            c = XtX_inv @ w
-            sigma2 = np.einsum("ns,ns->s", resid, resid) / (n - p)
-            se[cols] = np.sqrt(np.maximum(sigma2 * (w @ c), 0.0))
-            contrib[:, cols] = n * (Xw @ c)[:, None] * resid
-    if failures:
-        raise ValueError("GLS fit failed at spots: " + "; ".join(failures))
+        kind = "ar1" if corr.kind == "none" else corr.kind  # none is AR(1) with rho = 0
+        rho = 0.0 if corr.kind == "none" else corr.rho
+        if rho is None:
+            rho = _estimate_rho(Z - X @ (np.linalg.pinv(X) @ Z), kind, corr.groups)
+        Zw = _whiten(Z, rho, kind, corr.groups)  # before X, so a bad fixed rho is named as given
+        Xw = _whiten(X, np.reshape(rho, (-1, 1, 1)), kind, corr.groups)
+    beta, se, contrib, singular = _fit_whitened(Xw, Zw, w)
+    if singular.any():
+        fail(singular, "design matrix is singular")
 
     def on_grid(values):  # unmasked spots' values on the grid, NaN elsewhere
         out = np.full(mask.shape + values.shape[1:], np.nan)

@@ -285,6 +285,34 @@ class TestScbGls:
         assert err["error"] == "invalid_input"
         assert named in err["message"]
 
+    @pytest.mark.parametrize("extra, named", [
+        (["--w", "1,,0"], "--w must be comma-separated numbers, got '1,,0'"),
+        (["--w", "inf,0"], "w must be finite"),
+        (["--w", "1,0", "--correlation", "none", "--rho", "0.4"], "correlation kind 'none' takes no rho"),
+    ], ids=["w_empty_cell", "w_inf", "none_with_rho"])
+    def test_refused_option_invalid_input(self, tmp_path, gls_files, capsys, extra, named):
+        hpath, dpath = gls_files
+        code = run(["scb", "gls", "--data", hpath, "--design", dpath, "--nboot", 200, "--quiet",
+                    "--out", tmp_path / "gls.json"] + extra)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "invalid_input"
+        assert err["message"] == named
+
+    @pytest.mark.parametrize("correlation", [["ar1"], ["ar1", "--rho", "0.3"], ["none"]],
+                             ids=["ar1_estimated", "ar1", "none"])
+    def test_non_finite_design_invalid_input(self, tmp_path, gls_files, capsys, correlation):
+        hpath, dpath = gls_files
+        rows = dpath.read_text().splitlines()
+        rows[4] = "nan," + rows[4].split(",")[1]
+        dpath.write_text("\n".join(rows) + "\n")
+        code = run(["scb", "gls", "--data", hpath, "--design", dpath, "--w", "1,0", "--nboot", 200,
+                    "--quiet", "--out", tmp_path / "gls.json", "--correlation"] + correlation)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "invalid_input"
+        assert err["message"] == "design must be finite"
+
 
 class TestInvert:
     @pytest.fixture

@@ -74,6 +74,28 @@ class TestBuildCorrelation:
         )
 
 
+class TestWhiten:
+    """The closed-form whitening is L^-1 for L the Cholesky factor of the
+    correlation that build_correlation writes out."""
+
+    @pytest.mark.parametrize("labels", [
+        np.repeat([0, 1, 2], 4),
+        np.arange(12) % 3,
+        np.where(np.arange(12) == 5, 3, np.repeat([0, 1, 2], 4)),  # observation 5 alone
+    ], ids=["contiguous", "interleaved", "singleton"])
+    @pytest.mark.parametrize("kind, rho", [
+        ("comp_symm", "bound"), ("comp_symm", 0.0), ("comp_symm", 0.99),
+        ("ar1", -0.99), ("ar1", 0.0), ("ar1", 0.99),
+    ])
+    def test_is_inverse_cholesky_factor(self, labels, kind, rho):
+        if rho == "bound":  # just inside the positive-definite range of the largest group
+            rho = -1.0 / (np.bincount(labels).max() - 1) + 1e-3
+        spec = CorrelationSpec(kind, rho=rho, groups=labels)
+        Linv = np.linalg.inv(np.linalg.cholesky(build_correlation(spec, 12)))
+        np.testing.assert_allclose(geospatial._whiten(np.eye(12), rho, kind, labels), Linv,
+                                   rtol=0, atol=1e-12 * np.abs(Linv).max())
+
+
 class TestFitGlsSpot:
     def test_identity_covariance_equals_ols(self, rng):
         X = np.column_stack([np.ones(30), rng.standard_normal((30, 2))])
@@ -179,6 +201,49 @@ def test_planted_exceedance_containment():
     assert p >= 0.90 - 3 * mcse, f"containment {p:.3f}"
 
 
+class TestRefusedInput:
+    @pytest.mark.parametrize("field, kind", [
+        ("rho", "none"), ("rho", "explicit"), ("V", "none"), ("V", "ar1"),
+        ("V", "comp_symm"), ("groups", "none"), ("groups", "explicit"),
+    ])
+    def test_field_the_kind_does_not_read(self, field, kind):
+        fields = {"V": np.eye(3)} if kind == "explicit" else {}
+        fields[field] = {"rho": 0.4, "V": np.eye(3), "groups": [0, 0, 1]}[field]
+        with pytest.raises(ValueError) as info:
+            CorrelationSpec(kind, **fields)
+        assert str(info.value) == f"correlation kind {kind!r} takes no {field}"
+
+    @pytest.mark.parametrize("spec", [CorrelationSpec("none"), CorrelationSpec("ar1", rho=0.4),
+                                      CorrelationSpec("ar1"), CorrelationSpec("comp_symm")],
+                             ids=["none", "ar1", "ar1_estimated", "comp_symm_estimated"])
+    @pytest.mark.parametrize("field", ["design", "w"])
+    def test_non_finite_design_or_w(self, spec, field):
+        data, X, _ = planted_field(nx=3, ny=2, n_obs=20, noise=0.5, seed=9)
+        X, w = X.copy(), np.array([1.0, 0, 0, 0])
+        if field == "design":
+            X[3, 1] = np.nan
+        else:
+            w[2] = np.inf
+        with pytest.raises(ValueError) as info:
+            fit_gls_grid(data, X, w, spec)
+        assert str(info.value) == f"{field} must be finite"
+
+    def test_non_finite_V(self):
+        data, X, _ = planted_field(nx=3, ny=2, n_obs=20, noise=0.5, seed=9)
+        V = np.broadcast_to(np.eye(20), (3, 2, 20, 20)).copy()
+        V[1, 1, 4, 4] = np.inf
+        with pytest.raises(ValueError) as info:
+            fit_gls_grid(data, X, [1.0, 0, 0, 0], CorrelationSpec("explicit", V=V))
+        assert str(info.value) == "V must be finite at unmasked spots"
+
+    def test_comp_symm_rho_below_bound(self):
+        data, X, _ = planted_field(nx=3, ny=2, n_obs=20, noise=0.5, seed=9)
+        groups = np.repeat([0, 1], [4, 16])
+        with pytest.raises(ValueError) as info:
+            fit_gls_grid(data, X, [1.0, 0, 0, 0], CorrelationSpec("comp_symm", rho=-0.1, groups=groups))
+        assert str(info.value) == "compound symmetry with rho=-0.1 is not positive definite for group size 16"
+
+
 class TestExplicitPerSpotCovariance:
     def test_per_spot_array(self):
         data, X, _ = planted_field(nx=4, ny=3, n_obs=20, noise=0.5, seed=9)
@@ -256,7 +321,8 @@ class TestGridMatchesSpotOracle:
     @pytest.mark.parametrize(
         "case", ["none", "ar1", "ar1_groups", "ar1_interleaved", "explicit_2d", "explicit_per_spot",
                  "ar1_estimated", "ar1_estimated_interleaved", "ar1_estimated_singleton",
-                 "ar1_estimated_clipped", "comp_symm", "comp_symm_estimated"]
+                 "ar1_estimated_clipped", "comp_symm", "comp_symm_estimated", "comp_symm_interleaved",
+                 "comp_symm_estimated_interleaved", "comp_symm_negative"]
     )
     def test_every_spot_matches(self, case, rng):
         mask = np.ones((5, 4), dtype=bool)
@@ -287,11 +353,15 @@ class TestGridMatchesSpotOracle:
             "ar1_estimated_clipped": CorrelationSpec("ar1"),
             "comp_symm": CorrelationSpec("comp_symm", rho=0.3),
             "comp_symm_estimated": CorrelationSpec("comp_symm", groups=groups),
+            "comp_symm_interleaved": CorrelationSpec("comp_symm", rho=0.3, groups=interleaved),
+            "comp_symm_estimated_interleaved": CorrelationSpec("comp_symm", groups=interleaved),
+            # groups of 8: positive definite down to rho = -1/7
+            "comp_symm_negative": CorrelationSpec("comp_symm", rho=-0.12, groups=groups),
         }[case]
-        if case == "comp_symm_estimated":
+        if case.startswith("comp_symm_estimated"):
             # a shared effect per group and spot keeps every estimated rho
             # inside the positive-definite range of compound symmetry
-            shared = 2.0 * np.repeat(rng.standard_normal((3, 5, 4)), n // 3, axis=0)
+            shared = 2.0 * rng.standard_normal((3, 5, 4))[spec.groups]
             data = SpatialObservations(data.x, data.y, data.values + shared, mask)
         if case == "ar1_estimated_clipped":
             # residuals along the extreme eigenvectors of the lag-1 product
@@ -344,13 +414,16 @@ class TestGridMatchesSpotOracle:
             "GLS fit failed at spots: (2, 1): covariance V is singular or not positive definite"
         )
 
-    def test_estimated_ar1_builds_no_correlation_matrix(self, monkeypatch):
+    def test_closed_form_kinds_build_no_correlation_matrix(self, monkeypatch):
         calls = []
         monkeypatch.setattr(geospatial, "build_correlation",
                             lambda *args: calls.append(args) or build_correlation(*args))
         data, X, _ = planted_field(nx=4, ny=3, n_obs=24, noise=0.5, seed=9)
-        for groups in (None, np.arange(24) % 3):
-            fit_gls_grid(data, X, [1.0, 0, 0, 0], CorrelationSpec("ar1", groups=groups))
+        fit_gls_grid(data, X, [1.0, 0, 0, 0], CorrelationSpec("none"))
+        for kind in ("ar1", "comp_symm"):
+            for groups in (None, np.arange(24) % 3):
+                for rho in (None, 0.3):
+                    fit_gls_grid(data, X, [1.0, 0, 0, 0], CorrelationSpec(kind, rho, groups=groups))
         assert calls == []
 
     def test_estimated_ar1_singular_design_lists_every_spot(self):
@@ -359,6 +432,20 @@ class TestGridMatchesSpotOracle:
         X[:, 2] = 0.0
         with pytest.raises(ValueError) as info:
             fit_gls_grid(data, X, [1.0, 0, 0, 0], CorrelationSpec("ar1"))
+        assert str(info.value) == "GLS fit failed at spots: " + "; ".join(
+            f"({i}, {j}): design matrix is singular" for i in range(3) for j in range(2)
+        )
+
+    @pytest.mark.parametrize("spec", [CorrelationSpec("none"), CorrelationSpec("comp_symm", rho=0.3),
+                                      CorrelationSpec("explicit", V=2.0 * np.eye(20))],
+                             ids=["none", "comp_symm", "explicit_2d"])
+    def test_shared_singular_design_lists_every_spot(self, spec):
+        # one Gram matrix serves every spot, so its failure names them all
+        data, X, _ = planted_field(nx=3, ny=2, n_obs=20, noise=0.5, seed=9)
+        X = X.copy()
+        X[:, 2] = 0.0
+        with pytest.raises(ValueError) as info:
+            fit_gls_grid(data, X, [1.0, 0, 0, 0], spec)
         assert str(info.value) == "GLS fit failed at spots: " + "; ".join(
             f"({i}, {j}): design matrix is singular" for i in range(3) for j in range(2)
         )
