@@ -161,12 +161,12 @@ def _cmd_scb_fosr(args):
     if args.method == "cma":
         band = functional.scb_cma(
             fit, subset, target, alpha=args.alpha,
-            n_boot=args.nboot or 10000, seed=args.seed,
+            n_boot=10000 if args.nboot is None else args.nboot, seed=args.seed,
         )
     else:
         band = functional.scb_multiplier(
             data, fit, subset, target, alpha=args.alpha,
-            n_boot=args.nboot or 5000, weights=args.weights,
+            n_boot=5000 if args.nboot is None else args.nboot, weights=args.weights,
             sd_method=args.sd, seed=args.seed,
         )
     _write_out(args, band_to_json(band))

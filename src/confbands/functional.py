@@ -58,6 +58,10 @@ _SQRT5 = np.sqrt(5.0)
 MAMMEN_VALUES = ((1.0 - _SQRT5) / 2.0, (1.0 + _SQRT5) / 2.0)
 MAMMEN_PROBS = ((1.0 + _SQRT5) / (2.0 * _SQRT5), (_SQRT5 - 1.0) / (2.0 * _SQRT5))
 
+# spots per block of the multiplier-t reduction; a constant, so no result
+# depends on the problem size
+_SPOT_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class FunctionalDataset:
@@ -505,6 +509,8 @@ def cma_max_stats(C, cov, se, n_boot: int, rng) -> np.ndarray:
     C, standardizes by the pointwise SE elementwise, and returns the per-draw
     grid maxima of the absolute values.
     """
+    if n_boot < 1:
+        raise ValueError(f"n_boot must be at least 1, got {n_boot}")
     cov = 0.5 * (np.asarray(cov, dtype=float) + np.asarray(cov, dtype=float).T)
     vals, vecs = np.linalg.eigh(cov)
     if vals.min(initial=0.0) < -1e-8 * max(vals.max(initial=1.0), 1.0):
@@ -566,8 +572,16 @@ def multiplier_max_stats(
     ``sd_method="regular"`` uses the sample SD of the original residuals,
     constant across replicates; ``"t"`` recomputes the SD from the perturbed
     sample {g_n R_n} per replicate (absolute value inside the square root for
-    numerical stability). Cells where both numerator and SD vanish
+    numerical stability). Under Rademacher weights g_n^2 = 1, so the second
+    moment of the perturbed sample is the same for every replicate and is
+    taken once per spot. Cells where both numerator and SD vanish
     contribute 0.
+
+    The multipliers are drawn once; the spots are then reduced in blocks of
+    the fixed width ``_SPOT_BLOCK``, keeping a running maximum per replicate.
+    Memory is O(n_boot (N + width) + N spots), not n_boot x spots, and since
+    a replicate's maximum is the maximum of its block maxima the width never
+    changes a result: it depends only on the multipliers, hence on the seed.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
@@ -575,24 +589,33 @@ def multiplier_max_stats(
     N = samples.shape[0]
     if N < 2:
         raise ValueError("multiplier bootstrap needs at least 2 subjects")
+    if n_boot < 1:
+        raise ValueError(f"n_boot must be at least 1, got {n_boot}")
     if sd_method not in ("t", "regular"):
         raise ValueError(f"unknown sd_method {sd_method!r}")
     if rng is None:
         rng = np.random.default_rng()
     flat = samples.reshape(N, -1)
-    R = np.sqrt(N / (N - 1.0)) * (flat - flat.mean(axis=0))
+    R = flat - flat.mean(axis=0)
+    R *= np.sqrt(N / (N - 1.0))
     g = _multiplier_matrix(weights, (n_boot, N), rng)
-    num = g @ R
-    if sd_method == "regular":
-        eps = flat.std(axis=0, ddof=1)
-    else:
-        m1 = num / N
-        m2 = (g**2 @ R**2) / N
-        eps = np.sqrt((N / (N - 1.0)) * np.abs(m2 - m1**2))
-    num /= np.sqrt(N)  # in place, so no second (n_boot, spots) array is held
-    maxima, degenerate = _studentized_max(num, eps)
-    if degenerate.any():
-        raise ValueError("degenerate SE")
+    g2 = None if weights == "rademacher" else g**2
+    sd = flat.std(axis=0, ddof=1) if sd_method == "regular" else None
+    maxima = np.zeros(n_boot)
+    for start in range(0, R.shape[1], _SPOT_BLOCK):
+        blk = slice(start, start + _SPOT_BLOCK)
+        num = g @ R[:, blk]
+        if sd is None:
+            R2 = R[:, blk] ** 2
+            m2 = R2.sum(axis=0) / N if g2 is None else (g2 @ R2) / N
+            eps = np.sqrt((N / (N - 1.0)) * np.abs(m2 - (num / N) ** 2))
+        else:
+            eps = sd[blk]
+        num /= np.sqrt(N)
+        block_max, degenerate = _studentized_max(num, eps)
+        if degenerate.any():
+            raise ValueError("degenerate SE")
+        np.maximum(maxima, block_max, out=maxima)
     return maxima
 
 

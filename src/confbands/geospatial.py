@@ -137,7 +137,7 @@ def build_correlation(spec: CorrelationSpec, n: int) -> np.ndarray:
         if spec.kind == "ar1":
             block = rho ** np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
         else:
-            if rho < -1.0 / (m - 1):
+            if rho * (m - 1) <= -1.0:
                 raise ValueError(
                     f"compound symmetry with rho={rho} is not positive definite "
                     f"for group size {m}"

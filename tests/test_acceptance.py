@@ -169,6 +169,27 @@ def test_criterion_7_gls_reduction():
     report(7, ok, f"max |GLS-OLS| {worst:.2e}, max |V=3I shift| {worst_scaled:.2e}")
 
 
+def test_criterion_7_gls_grid_reduction():
+    # the same two checks through the grid fit that builds the bands
+    rng = substream(107)
+    n, nx, ny = 40, 10, 10
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, 3))])
+    Z = np.einsum("np,pxy->nxy", X, rng.standard_normal((4, nx, ny)))
+    Z += rng.standard_normal((n, nx, ny))
+    data = cb.SpatialObservations(np.arange(nx), np.arange(ny), Z)
+    w = np.ones(4)
+    beta_none = cb.fit_gls_grid(data, X, w, cb.CorrelationSpec("none"))[0].beta
+    beta_ols = np.linalg.lstsq(X, Z.reshape(n, -1), rcond=None)[0].T.reshape(nx, ny, 4)
+    worst = float(np.abs(beta_none - beta_ols).max())
+    beta_eye, beta_scaled = (
+        cb.fit_gls_grid(data, X, w, cb.CorrelationSpec("explicit", V=c * np.eye(n)))[0].beta
+        for c in (1.0, 3.0)
+    )
+    worst_scaled = float(np.abs(beta_scaled - beta_eye).max())
+    ok = worst < 1e-10 and worst_scaled < 1e-10
+    report(7, ok, f"grid: max |GLS-OLS| {worst:.2e}, max |V=3I shift| {worst_scaled:.2e}")
+
+
 def test_criterion_8_multiplier_weight_moments():
     ok = True
     details = []

@@ -206,6 +206,16 @@ class TestScbFosr:
         assert err["error"] == "invalid_input"
         assert "'s0'" in err["message"] and "'use'" in err["message"]
 
+    @pytest.mark.parametrize("method", ["cma", "multiplier"])
+    def test_zero_nboot_invalid_input(self, tmp_path, fosr_csv, capsys, method):
+        # --nboot 0 used to run the method's default number of draws
+        code = run(["scb", "fosr", "--data", fosr_csv, "--method", method, "--nboot", 0,
+                    "--kbasis", 8, "--quiet", "--out", tmp_path / "band.json"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "invalid_input"
+        assert err["message"] == "n_boot must be at least 1, got 0"
+
     def test_missing_required_column(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("subject,time,outcome\na,0,1\n")
@@ -298,6 +308,15 @@ class TestScbGls:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "invalid_input"
         assert err["message"] == named
+
+    def test_zero_nboot_invalid_input(self, tmp_path, gls_files, capsys):
+        hpath, dpath = gls_files
+        code = run(["scb", "gls", "--data", hpath, "--design", dpath, "--w", "1,0",
+                    "--nboot", 0, "--quiet", "--out", tmp_path / "gls.json"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "invalid_input"
+        assert err["message"] == "n_boot must be at least 1, got 0"
 
     @pytest.mark.parametrize("correlation", [["ar1"], ["ar1", "--rho", "0.3"], ["none"]],
                              ids=["ar1_estimated", "ar1", "none"])

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
 
+from confbands import functional
 from confbands.core import substream
 from confbands.functional import (
+    _SPOT_BLOCK,
     MAMMEN_PROBS,
     MAMMEN_VALUES,
     FunctionalDataset,
@@ -332,13 +336,31 @@ class TestMultiplierBootstrap:
         q = empirical_quantile(stats, 0.95)
         assert abs(q - scipy.stats.norm.ppf(0.975)) < 0.05
 
-    def test_zero_multipliers_give_zero(self, rng):
-        # centering: g fixed at 0 makes the statistic identically 0
-        samples = rng.standard_normal((20, 5))
-        N = 20
-        R = np.sqrt(N / (N - 1)) * (samples - samples.mean(0))
-        T = (np.zeros((1, N)) @ R) / np.sqrt(N)
-        assert np.all(T == 0.0)
+    def test_zero_residual_spot_in_later_block_gives_zero(self, rng):
+        # a constant spot has num == 0 and eps == 0 in every replicate: it
+        # contributes 0, so dropping it leaves every maximum as it was
+        samples = rng.standard_normal((20, 2 * _SPOT_BLOCK + 10))
+        j = _SPOT_BLOCK + 3
+        samples[:, j] = 5.0
+        stats = multiplier_max_stats(samples, 200, rng=substream(4))
+        without = multiplier_max_stats(np.delete(samples, j, axis=1), 200, rng=substream(4))
+        np.testing.assert_allclose(stats, without, rtol=1e-13, atol=0)
+
+    def test_degenerate_spot_in_last_partial_block_raises(self, rng):
+        # R proportional to the multipliers (1, 1, -1, -1) makes the perturbed
+        # sample constant and nonzero: eps == 0 against a nonzero numerator
+        samples = rng.standard_normal((4, 2 * _SPOT_BLOCK + 7))
+        samples[:, -1] = [1.0, 1.0, -1.0, -1.0]
+        multiplier_max_stats(samples[:, :-1], 100, rng=substream(5))
+        with pytest.raises(ValueError, match="degenerate SE"):
+            multiplier_max_stats(samples, 100, rng=substream(5))
+
+    @pytest.mark.parametrize("n_boot", [0, -3])
+    def test_n_boot_must_be_positive(self, rng, n_boot):
+        with pytest.raises(ValueError, match=f"n_boot must be at least 1, got {n_boot}"):
+            multiplier_max_stats(rng.standard_normal((5, 3)), n_boot, rng=rng)
+        with pytest.raises(ValueError, match=f"n_boot must be at least 1, got {n_boot}"):
+            cma_max_stats(np.eye(2), np.eye(2), np.ones(2), n_boot, rng)
 
     def test_zero_sd_against_nonzero_numerator_raises(self):
         # N = 2: multipliers (1, -1) give eps == 0 with a nonzero numerator
@@ -381,6 +403,57 @@ class TestMultiplierBootstrap:
 
 # fixed before the first run; the replicates are not chosen by their outcome
 MISSING_CELLS_SEED = 2026
+
+
+def unblocked_multiplier_max(samples, n_boot, weights, sd_method, rng):
+    """The multiplier-t maxima over every spot at once, as one pair of GEMMs."""
+    N = samples.shape[0]
+    flat = samples.reshape(N, -1)
+    R = np.sqrt(N / (N - 1.0)) * (flat - flat.mean(axis=0))
+    g = draw_multipliers(weights, n_boot * N, rng).reshape(n_boot, N)
+    num = g @ R
+    if sd_method == "regular":
+        eps = flat.std(axis=0, ddof=1)
+    else:
+        eps = np.sqrt((N / (N - 1.0)) * np.abs((g**2 @ R**2) / N - (num / N) ** 2))
+    return np.max(np.abs(num / np.sqrt(N)) / eps, axis=1)
+
+
+class TestBlockedMultiplier:
+    """The reduction over fixed-width blocks of spots against the whole
+    (n_boot, spots) computation, on spot counts that end in a partial block."""
+
+    @pytest.mark.parametrize("sd_method", ["t", "regular"])
+    @pytest.mark.parametrize("weights", ["rademacher", "gaussian", "mammen"])
+    def test_matches_unblocked_reference(self, weights, sd_method):
+        samples = substream(30).standard_normal((30, 3 * _SPOT_BLOCK + 17))
+        got = multiplier_max_stats(samples, 300, weights, sd_method, substream(31))
+        want = unblocked_multiplier_max(samples, 300, weights, sd_method, substream(31))
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("weights", ["rademacher", "gaussian", "mammen"])
+    def test_width_never_changes_a_result(self, monkeypatch, weights):
+        # N = 30: a replicate whose N multipliers are all equal has a
+        # maximum of pure rounding error, which no relative bound can compare
+        samples = substream(32).standard_normal((30, 2, 150))
+        runs = []
+        for width in (1, 7, _SPOT_BLOCK):
+            monkeypatch.setattr(functional, "_SPOT_BLOCK", width)
+            runs.append(multiplier_max_stats(samples, 200, weights, "t", substream(33)))
+        for other in runs[:-1]:
+            np.testing.assert_allclose(other, runs[-1], rtol=1e-13, atol=0)
+
+    def test_memory_does_not_grow_with_replicates_times_spots(self):
+        # 200 x 200 spots, N = 60, n_boot = 2000: one (n_boot, spots) array
+        # alone would take 610 MiB
+        samples = substream(34).standard_normal((60, 200, 200))
+        tracemalloc.start()
+        try:
+            multiplier_max_stats(samples, 2000, rng=substream(35))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 @pytest.fixture(scope="module")

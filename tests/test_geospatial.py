@@ -63,6 +63,15 @@ class TestBuildCorrelation:
         with pytest.raises(ValueError, match="positive definite"):
             build_correlation(CorrelationSpec("comp_symm", rho=-0.5), 4)
 
+    def test_comp_symm_pd_bound_is_exclusive(self):
+        # rho = -1/(m-1) makes the block singular, so the boundary itself is refused
+        with pytest.raises(ValueError) as info:
+            build_correlation(CorrelationSpec("comp_symm", rho=-1 / 3), 4)
+        assert str(info.value) == (
+            f"compound symmetry with rho={-1 / 3} is not positive definite for group size 4"
+        )
+        np.linalg.cholesky(build_correlation(CorrelationSpec("comp_symm", rho=-1 / 3 + 1e-9), 4))
+
     def test_groups_block_structure(self):
         groups = np.array([0, 0, 1, 1])
         R = build_correlation(CorrelationSpec("ar1", rho=0.5, groups=groups), 4)
