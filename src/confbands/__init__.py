@@ -29,7 +29,6 @@ from .geospatial import (
     CorrelationSpec,
     GLSFit,
     SpatialObservations,
-    build_correlation,
     fit_gls_grid,
     fit_gls_spot,
     scb_gls,
@@ -72,8 +71,8 @@ __all__ = [
     "fit_logistic", "predict_mean", "scb_mean_bootstrap", "scb_coef_bootstrap",
     "FunctionalDataset", "FoSRFit", "SubsetSpec", "fit_fosr", "predict_target",
     "scb_cma", "scb_multiplier", "draw_multipliers",
-    "SpatialObservations", "CorrelationSpec", "GLSFit", "build_correlation",
-    "fit_gls_spot", "fit_gls_grid", "scb_gls",
+    "SpatialObservations", "CorrelationSpec", "GLSFit", "fit_gls_spot",
+    "fit_gls_grid", "scb_gls",
     "SimDesign", "CoverageReport", "generate", "run_coverage",
     "__version__",
 ]

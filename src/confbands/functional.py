@@ -9,6 +9,11 @@ per-subject score terms as ridge-penalized coefficients (the random-effect
 equivalent). The coefficient covariance comes from leave-one-subject-out
 contributions: each leave-out reruns all three steps without the subject,
 through the same refit as the fit itself, for any pattern of missing cells.
+The leave-outs run in blocks of the fixed width ``_SUBJECT_BLOCK``: one
+stack of mean-model solves, one stack of covariance eigendecompositions, and
+one refit per group of leave-outs that keep the same number of components.
+Each leave-out's products are taken on their own, so the width never changes
+a result.
 
 Two critical-value estimators are provided, both on those contributions: a
 parametric simulation from their covariance (:func:`scb_cma`) and a
@@ -62,6 +67,12 @@ MAMMEN_PROBS = ((1.0 + _SQRT5) / (2.0 * _SQRT5), (_SQRT5 - 1.0) / (2.0 * _SQRT5)
 # depends on the problem size
 _SPOT_BLOCK = 128
 
+# leave-one-subject-out refits per block of fit_fosr, and partly observed
+# subjects per block of a refit's score terms; constants, so no result
+# depends on the number of subjects
+_SUBJECT_BLOCK = 8
+_SCORE_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class FunctionalDataset:
@@ -107,7 +118,8 @@ class FunctionalDataset:
     @classmethod
     def from_long(cls, ids, times, values, covariates: dict) -> "FunctionalDataset":
         """Pivot long-format records (one row per observation) onto the
-        common grid of unique times; covariates are per-subject constants."""
+        common grid of unique times; covariates are per-subject constants.
+        A subject may have at most one record per time."""
         ids = np.asarray(ids)
         times = np.asarray(times, dtype=float)
         if not np.all(np.isfinite(times)):
@@ -115,12 +127,16 @@ class FunctionalDataset:
         values = np.asarray(values, dtype=float)
         uniq_ids = list(dict.fromkeys(ids.tolist()))
         grid = np.unique(times)
-        Y = np.full((len(uniq_ids), grid.size), np.nan)
         row = {s: i for i, s in enumerate(uniq_ids)}
-        col = {t: j for j, t in enumerate(grid.tolist())}
-        for s, t, v in zip(ids.tolist(), times.tolist(), values.tolist()):
-            Y[row[s], col[t]] = v
         subject = np.array([row[s] for s in ids.tolist()], dtype=int)
+        cell = subject * grid.size + np.searchsorted(grid, times)
+        first = np.unique(cell, return_index=True)[1]
+        if first.size < cell.size:
+            k = np.setdiff1d(np.arange(cell.size), first)[0]
+            raise ValueError(f"subject {uniq_ids[subject[k]]!r} has more than one record "
+                             f"at time {float(times[k])!r}")
+        Y = np.full((len(uniq_ids), grid.size), np.nan)
+        Y.flat[cell] = values
         cov = {}
         for name, vals in covariates.items():
             vals = np.asarray(vals, dtype=float)
@@ -220,46 +236,56 @@ class FoSRFit:
         return self.residuals.shape[0]
 
 
-def _fpca_from_residuals(E: np.ndarray, dt: float, pve: float, n_components):
-    """Eigendecomposition of the pairwise-complete residual covariance:
-    entry (s, t) pools every row observed at both s and t, as PACE does
-    (Yao, Mueller & Wang, JASA 2005). On complete rows it is the sample
-    covariance.
+def _fpca_stack(E: np.ndarray, pve: float, n_components):
+    """Eigendecomposition of the pairwise-complete residual covariance of
+    each (n, T) matrix in the stack E (NaN at missing cells): entry (s, t)
+    pools every row observed at both s and t, as PACE does (Yao, Mueller &
+    Wang, JASA 2005). On complete rows it is the sample covariance.
 
-    Returns (Phi, sigma_k2, noise_var); eigenfunctions are scaled to be
-    orthonormal under the grid inner product (Phi' Phi * dt = I).
+    Returns, for every matrix, the eigenvalues (..., T) and eigenvectors
+    (..., T, T) in descending order, the number of components K (...) and
+    the noise variance (...), the mean of the positive eigenvalues past K.
     """
     obs = ~np.isnan(E)
     Z = np.where(obs, E, 0.0)
-    Z = np.where(obs, Z - Z.sum(axis=0) / obs.sum(axis=0), 0.0)
-    C = (Z.T @ Z) / np.maximum(obs.T @ obs.astype(float) - 1, 1)
-    T = E.shape[1]
+    Z -= Z.sum(axis=-2, keepdims=True) / obs.sum(axis=-2, keepdims=True)
+    np.copyto(Z, 0.0, where=~obs)
+    o = obs.astype(np.float32)  # exact counts up to 2**24 rows
+    C = (Z.swapaxes(-1, -2) @ Z) / np.maximum(o.swapaxes(-1, -2) @ o - 1, 1)
     vals, vecs = np.linalg.eigh(C)
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
-    pos = vals > max(vals[0], 0.0) * 1e-12 if vals.size else np.zeros(0, bool)
-    total = vals[pos].sum()
-    if total <= 0:
-        return np.zeros((T, 0)), np.zeros(0), 0.0
+    vals, vecs = vals[..., ::-1], vecs[..., ::-1]
+    T = vals.shape[-1]
+    # the positive eigenvalues are a leading run; K = 0 when there are none
+    n_pos = (vals > np.maximum(vals[..., :1], 0.0) * 1e-12).sum(axis=-1)
+    rank = np.arange(T)
     if n_components is not None:
-        K = min(int(n_components), int(pos.sum()))
+        K = np.minimum(int(n_components), n_pos)
     else:
         # proportion of variance explained, measured above the noise floor:
         # the median of all T eigenvalues estimates the white-noise level
         # (zero for genuinely low-rank residuals), which would otherwise
         # force in dozens of pure-noise components
-        floor = float(np.median(np.clip(vals, 0.0, None)))
-        excess = np.clip(vals[pos] - floor, 0.0, None)
-        if excess.sum() <= 0:
-            excess = vals[pos]
-        frac = np.cumsum(excess) / excess.sum()
-        K = int(np.searchsorted(frac, pve) + 1)
-        K = min(K, int(pos.sum()))
-    Phi = vecs[:, :K] / np.sqrt(dt)
-    sigma_k2 = vals[:K] * dt
-    tail = vals[K:][vals[K:] > 0].sum()
-    noise = tail / max(T - K, 1)
-    return Phi, sigma_k2, float(noise)
+        pos = rank < n_pos[..., None]
+        floor = np.median(np.clip(vals, 0.0, None), axis=-1, keepdims=True)
+        excess = np.where(pos, np.clip(vals - floor, 0.0, None), 0.0)
+        flat = excess.sum(axis=-1, keepdims=True) <= 0
+        excess = np.where(flat & pos, vals, excess)
+        total = excess.sum(axis=-1, keepdims=True)
+        frac = np.cumsum(excess, axis=-1) / np.where(total > 0, total, 1.0)
+        K = np.minimum((frac < pve).sum(axis=-1) + 1, n_pos)
+    tail = np.where((rank >= K[..., None]) & (vals > 0), vals, 0.0).sum(axis=-1)
+    return vals, vecs, K, tail / np.maximum(T - K, 1)
+
+
+def _fpca_from_residuals(E: np.ndarray, dt: float, pve: float, n_components):
+    """FPCA of one (n, T) residual matrix through :func:`_fpca_stack`.
+
+    Returns (Phi, sigma_k2, noise_var); eigenfunctions are scaled to be
+    orthonormal under the grid inner product (Phi' Phi * dt = I).
+    """
+    vals, vecs, K, noise = _fpca_stack(E[None], pve, n_components)
+    k = int(K[0])
+    return vecs[0, :, :k] / np.sqrt(dt), vals[0, :k] * dt, float(noise[0])
 
 
 def fit_fosr(
@@ -278,10 +304,17 @@ def fit_fosr(
     equivalent, with score variances floored at 1e-10. The coefficient
     covariance is the between-subject sandwich of leave-one-subject-out
     contributions, which tracks the extra variability from estimating the
-    FPCA weights themselves (a model-posterior covariance does not).
+    FPCA weights themselves (a model-posterior covariance does not). The
+    leave-outs run in blocks of the fixed width ``_SUBJECT_BLOCK``, each
+    block as one stack of solves and eigendecompositions; every leave-out is
+    still computed on its own, so the width never changes a result.
     """
     if data.n_subjects < 10:
         raise ValueError("need at least 10 subjects")
+    if not 0.0 < pve <= 1.0:
+        raise ValueError(f"pve must lie in (0, 1], got {pve}")
+    if n_components is not None and n_components < 0:
+        raise ValueError(f"n_components must be at least 0, got {n_components}")
     if covariates is None:
         covariates = tuple(data.covariates.keys())
     names = tuple(covariates)
@@ -298,27 +331,35 @@ def fit_fosr(
     S = np.kron(np.eye(J1), P)
 
     # Subject i's design rows are Z_i = kron(x_i, B[t]) at its observed
-    # times. Every per-subject quantity is stacked over subjects, missing
-    # cells zeroed through the 0/1 observation mask O_i (the rows of obs);
-    # Y0 is the outcome matrix with 0 at missing cells.
+    # times, missing cells zeroed through the 0/1 observation mask O_i (the
+    # rows of obs); Y0 is the outcome matrix with 0 at missing cells. A
+    # leading axis g, where there is one, runs over leave-outs.
     Y = data.outcomes
     obs = ~np.isnan(Y)
     Y0 = np.where(obs, Y, 0.0)
+    XX = Xc[:, :, None] * Xc[:, None, :]  # (n, J1, J1): x_i x_i'
 
-    def masked_gram(o, F, G):  # F' O G for each row O of the 0/1 weights o, one product
-        K1, K2 = F.shape[1], G.shape[1]
-        return (o @ (F[:, :, None] * G[:, None, :]).reshape(T, K1 * K2)).reshape(len(o), K1, K2)
+    def outer(F, G):  # (..., T, k1, k2): F[t] G[t]' at every time t
+        return F[..., :, :, None] * G[..., :, None, :]
 
-    def kron_x(blocks):  # (n, kb, ...) -> (n, p, ...): kron(x_i, blocks[i])
-        return np.einsum("nj,nk...->njk...", Xc, blocks).reshape((n, p) + blocks.shape[2:])
+    def masked_gram(o, FG):  # F' O G for each row O of the 0/1 weights o, from FG = outer(F, G)
+        out = o @ FG.reshape(FG.shape[:-2] + (-1,))
+        return out.reshape(out.shape[:-1] + FG.shape[-2:])
 
-    def mean_curves(theta):  # (n, T) mean-model fit x_i' Theta B'
-        return Xc @ (theta.reshape(J1, k_basis) @ B.T)
+    def kron_x(x, blocks):  # kron(x[i], blocks[i]) for each row i
+        return np.einsum("nj,nk...->njk...", x, blocks).reshape((len(x), p) + blocks.shape[2:])
 
-    ZtZ_i = np.einsum("ni,nj,nkl->nikjl", Xc, Xc, masked_gram(obs, B, B)).reshape(n, p, p)
-    Zty_i = kron_x(Y0 @ B)
-    ZtZ = ZtZ_i.sum(axis=0)
-    Zty = Zty_i.sum(axis=0)
+    def kron_xx(xx, blocks):  # kron(xx[g], blocks[g]) for each g, as (p, p)
+        return np.einsum("gab,gkl->gakbl", xx, blocks).reshape(-1, p, p)
+
+    def mean_curves(theta):  # (..., n, T) mean-model fits x_i' Theta B'
+        return Xc @ (theta.reshape(theta.shape[:-1] + (J1, k_basis)) @ B.T)
+
+    BB = outer(B, B)
+    ZtZ = (XX.reshape(n, -1).T @ obs @ BB.reshape(T, -1)).reshape(J1, J1, k_basis, k_basis)
+    ZtZ = ZtZ.transpose(0, 2, 1, 3).reshape(p, p)
+    YB = Y0 @ B  # (n, kb): B' y_i
+    Zty = (Xc.T @ YB).ravel()
     yty = float(np.sum(Y0**2))
     n_obs = int(obs.sum())
     best = (np.inf, _GCV_LADDER[0], None)
@@ -350,13 +391,11 @@ def fit_fosr(
         warnings.warn("all residuals are zero; skipping FPCA (K = 0)")
     dt = (t[-1] - t[0]) / (T - 1) if T > 1 else 1.0
 
-    def fpca(E):  # (Phi, score variances, noise variance) of residuals E
-        if degenerate:
-            return np.zeros((T, 0)), np.zeros(0), 0.0
-        return _fpca_from_residuals(E, dt, pve, n_components)
+    def diag(ridge):  # (..., K) -> (..., K, K)
+        return ridge[..., None, :] * np.eye(ridge.shape[-1])
 
-    def score_blocks(o, Phi, ridge):  # B' O Phi and (Phi' O Phi + ridge)^-1 for each row O of o
-        return masked_gram(o, B, Phi), np.linalg.inv(masked_gram(o, Phi, Phi) + np.diag(ridge))
+    def score_blocks(o, BPhi, PhiPhi, ridge):  # B' O Phi and Phi' O Phi + ridge for each row O of o
+        return masked_gram(o, BPhi), masked_gram(o, PhiPhi) + diag(ridge)[..., None, :, :]
 
     # Refit with per-subject score columns U_i = O_i Phi (zero width when
     # K = 0), solved through the Schur complement of the block-diagonal score
@@ -367,50 +406,57 @@ def fit_fosr(
     # understates their variance once the score terms absorb that variation.
     lam_refit = float(_GCV_LADDER[0])
     complete = obs.all(axis=1)
-    XX = Xc[:, :, None] * Xc[:, None, :]  # (n, J1, J1): x_i x_i'
-    YX = Y0[:, :, None] * Xc[:, None, :]  # (n, T, J1): y_i x_i'
-    pooled_xx, pooled_yx = XX[complete].sum(axis=0), YX[complete].sum(axis=0)
+    partial = np.flatnonzero(~complete)
 
-    def solve(M, rhs):  # least squares on degenerate data
+    def solve(M, rhs):  # stacked; minimum-norm least squares on degenerate data
         if degenerate:
-            return np.linalg.lstsq(M, rhs, rcond=None)[0]
+            return np.linalg.pinv(M, np.finfo(float).eps * p) @ rhs
         return np.linalg.solve(M + lam_refit * S, rhs)
 
-    def refit(Phi, ridge, drop=None):
-        """Score-augmented refit on every subject but ``drop``: returns the
-        coefficients and the Schur complement M (system matrix minus the
-        roughness penalty).
+    def refit(Phi, ridge, ZtZ_k, Zty_k, keep):
+        """Score-augmented refit of each leave-out g on the subjects
+        keep[g], with FPCA Phi[g] (T, K), score ridge ridge[g] and mean-model
+        moments ZtZ_k[g], Zty_k[g] of those subjects: returns the
+        coefficients (g, p) and the Schur complements M (g, p, p), the
+        system matrices minus the roughness penalty.
 
-        Fully observed subjects share one score block and enter in Kronecker
-        form through their x x' and y x' sums; the others are visited one by
-        one.
+        Fully observed subjects share one score block per leave-out and
+        enter in Kronecker form through their x x' and y x' sums; every
+        other subject enters through its own score block.
         """
-        ZtZ_k, Zty_k, xx0, yx0, own = ZtZ, Zty, pooled_xx, pooled_yx, ~complete
-        if drop is not None:
-            ZtZ_k, Zty_k = ZtZ - ZtZ_i[drop], Zty - Zty_i[drop]
-            own &= np.arange(n) != drop
-            if complete[drop]:
-                xx0, yx0 = xx0 - XX[drop], yx0 - YX[drop]
+        pooled = (keep & complete)[:, :, None] * Xc  # (g, n, J1)
         BtPhi = B.T @ Phi
-        H = BtPhi @ np.linalg.inv(Phi.T @ Phi + np.diag(ridge))
-        M = ZtZ_k - np.kron(xx0, H @ BtPhi.T)
-        rhs = Zty_k - (H @ (Phi.T @ yx0)).T.ravel()
-        if own.any():
-            C, A22inv = score_blocks(obs[own], Phi, ridge)
-            H = C @ A22inv  # (subjects, kb, K)
-            D = np.tensordot(XX[own], H @ C.transpose(0, 2, 1), axes=(0, 0))  # (J1, J1, kb, kb)
-            M -= D.transpose(0, 2, 1, 3).reshape(p, p)
-            rhs -= (H @ (Phi.T @ YX[own])).sum(axis=0).T.ravel()
-        M = 0.5 * (M + M.T)
-        return solve(M, rhs), M
+        H = BtPhi @ np.linalg.inv(Phi.swapaxes(-1, -2) @ Phi + diag(ridge))
+        M = ZtZ_k - kron_xx(Xc.T @ pooled, H @ BtPhi.swapaxes(-1, -2))
+        rhs = Zty_k - (H @ (Phi.swapaxes(-1, -2) @ (Y0.T @ pooled))).swapaxes(-1, -2).reshape(-1, p)
+        if partial.size:  # partly observed subjects, a block of them at a time
+            D = np.zeros((len(keep), J1 * J1, k_basis * k_basis))
+            BPhi, PhiPhi = outer(B, Phi), outer(Phi, Phi)
+            for lo in range(0, partial.size, _SCORE_BLOCK):
+                j = partial[lo:lo + _SCORE_BLOCK]
+                w = keep[:, j]  # (g, m)
+                C, A22 = score_blocks(obs[j], BPhi, PhiPhi, ridge)
+                A22[~w] += np.eye(Phi.shape[-1])  # a dropped subject's block is unused
+                H = C @ np.linalg.inv(A22)  # (g, m, kb, K)
+                D += (w[:, :, None] * XX[j].reshape(len(j), -1)).swapaxes(-1, -2) @ (
+                    H @ C.swapaxes(-1, -2)).reshape(len(w), len(j), -1)
+                Hy = (H @ (Y0[j] @ Phi)[..., None])[..., 0]  # (g, m, kb): H_j Phi' y_j
+                rhs -= ((w[:, :, None] * Xc[j]).swapaxes(-1, -2) @ Hy).reshape(-1, p)
+            M -= D.reshape(-1, J1, J1, k_basis, k_basis).transpose(0, 1, 3, 2, 4).reshape(-1, p, p)
+        M = 0.5 * (M + M.swapaxes(-1, -2))
+        return solve(M, rhs[..., None])[..., 0], M
 
-    Phi, sigma_k2, noise = fpca(Y - mean_curves(theta1))
+    if degenerate:
+        Phi, sigma_k2, noise = np.zeros((T, 0)), np.zeros(0), 0.0
+    else:
+        Phi, sigma_k2, noise = _fpca_from_residuals(Y - mean_curves(theta1), dt, pve, n_components)
     K = Phi.shape[1]
     ridge = noise / np.maximum(sigma_k2, 1e-10)
     try:
-        theta, M = refit(Phi, ridge)
+        theta, M = (a[0] for a in refit(Phi[None], ridge[None], ZtZ, Zty, np.ones((1, n), bool)))
         Sinv = solve(M, np.eye(p))
-        C, A22inv = score_blocks(obs, Phi, ridge)
+        C, A22 = score_blocks(obs, outer(B, Phi), outer(Phi, Phi), ridge)
+        A22inv = np.linalg.inv(A22)
     except np.linalg.LinAlgError:
         # with zero noise the ridge is 0, and Phi' O_i Phi has rank below K
         # for a subject with fewer than K observed cells
@@ -421,7 +467,7 @@ def fit_fosr(
             f"the score block Phi' O_i Phi + ridge is singular for subject(s) {short}: "
             f"fewer observed cells than K = {K}, with zero noise variance"
         ) from None
-    A12 = kron_x(C)  # (n, p, K): Z_i' U_i
+    A12 = kron_x(Xc, C)  # (n, p, K): Z_i' U_i
     G = A12 @ A22inv
     xi = np.einsum("nkl,nl->nk", A22inv, Y0 @ Phi - theta @ A12)
 
@@ -434,16 +480,31 @@ def fit_fosr(
 
     # per-subject contributions: leave-one-out pseudo-values, each from the
     # whole pipeline without subject i (mean model at the selected lambda,
-    # FPCA, refit)
-    def leave_out(i):
+    # FPCA, refit), for a block of subjects i at a time. Subject i's row is
+    # dropped from its leave-out's residuals through the observation mask.
+    theta_out = np.empty((n, p))
+    for start in range(0, n, _SUBJECT_BLOCK):
+        out = np.arange(start, min(start + _SUBJECT_BLOCK, n))
+        keep = np.arange(n) != out[:, None]  # (g, n)
+        # subject i's own moments, one row at a time so that no product depends on the width
+        ZtZ_k = ZtZ - kron_xx(XX[out], masked_gram(obs[out, None], BB)[:, 0])
+        Zty_k = Zty - kron_x(Xc[out], YB[out])
         try:
-            th1 = np.linalg.solve(ZtZ - ZtZ_i[i] + lam * S, Zty - Zty_i[i])
-            Phi_i, sk2, noise_i = fpca(np.delete(Y - mean_curves(th1), i, axis=0))
-            return refit(Phi_i, noise_i / np.maximum(sk2, 1e-10), i)[0]
+            E = mean_curves(np.linalg.solve(ZtZ_k + lam * S, Zty_k[..., None])[..., 0])
+            np.subtract(Y, E, out=E)
+            E[np.arange(len(out)), out] = np.nan
+            # degenerate data keep K = 0, where the noise variance is unused
+            vals, vecs, Ks, noises = _fpca_stack(E, pve, 0 if degenerate else n_components)
+            for k in np.unique(Ks):  # one refit for the leave-outs that share K
+                g = Ks == k
+                ridge_g = noises[g, None] / np.maximum(vals[g, :k] * dt, 1e-10)
+                theta_out[out[g]] = refit(vecs[g, :, :k] / np.sqrt(dt), ridge_g, ZtZ_k[g],
+                                          Zty_k[g], keep[g])[0]
         except np.linalg.LinAlgError:
-            raise ValueError(f"the fit without subject {data.ids[i]!r} is singular") from None
+            who = ", ".join(repr(data.ids[i]) for i in out)
+            raise ValueError(f"the fit without one of the subjects {who} is singular") from None
 
-    u = ((n - 1.0) / n) * (theta[None, :] - np.array([leave_out(i) for i in range(n)]))
+    u = ((n - 1.0) / n) * (theta[None, :] - theta_out)
     uc = u - u.mean(axis=0)
     Vbeta = (n / (n - 1.0)) * (uc.T @ uc)
     Vbeta = 0.5 * (Vbeta + Vbeta.T)

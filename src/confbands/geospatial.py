@@ -27,7 +27,6 @@ __all__ = [
     "SpatialObservations",
     "CorrelationSpec",
     "GLSFit",
-    "build_correlation",
     "fit_gls_spot",
     "fit_gls_grid",
     "scb_gls",
@@ -112,40 +111,6 @@ def _group_slices(groups, n):
     if groups.shape != (n,):
         raise ValueError("groups must assign one label per observation")
     return [np.flatnonzero(groups == g) for g in dict.fromkeys(groups.tolist())]
-
-
-def build_correlation(spec: CorrelationSpec, n: int) -> np.ndarray:
-    """Correlation matrix for n observations under the given structure.
-
-    ar1: R_ij = rho^|i-j| within each group; comp_symm: rho off-diagonal
-    within group; cross-group entries are zero; none: identity.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if spec.kind == "none":
-        return np.eye(n)
-    if spec.kind == "explicit":
-        raise ValueError("explicit covariance has no correlation structure to build")
-    rho = spec.rho
-    if rho is None:
-        raise ValueError("rho is required (or estimated upstream)")
-    R = np.eye(n)
-    for idx in _group_slices(spec.groups, n):
-        m = idx.size
-        if m <= 1:
-            continue
-        if spec.kind == "ar1":
-            block = rho ** np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
-        else:
-            if rho * (m - 1) <= -1.0:
-                raise ValueError(
-                    f"compound symmetry with rho={rho} is not positive definite "
-                    f"for group size {m}"
-                )
-            block = np.full((m, m), rho)
-            np.fill_diagonal(block, 1.0)
-        R[np.ix_(idx, idx)] = block
-    return R
 
 
 @dataclass(frozen=True)

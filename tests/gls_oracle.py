@@ -1,0 +1,44 @@
+"""Dense within-spot correlation matrices, the oracle that the closed-form
+GLS whitening in :mod:`confbands.geospatial` is tested against."""
+
+import numpy as np
+
+from confbands.geospatial import CorrelationSpec
+
+
+def build_correlation(spec: CorrelationSpec, n: int) -> np.ndarray:
+    """Correlation matrix for n observations under the given structure.
+
+    ar1: R_ij = rho^|i-j| within each group; comp_symm: rho off-diagonal
+    within group; cross-group entries are zero; none: identity.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if spec.kind == "none":
+        return np.eye(n)
+    if spec.kind == "explicit":
+        raise ValueError("explicit covariance has no correlation structure to build")
+    rho = spec.rho
+    if rho is None:
+        raise ValueError("rho is required (or estimated upstream)")
+    groups = np.zeros(n) if spec.groups is None else np.asarray(spec.groups)
+    if groups.shape != (n,):
+        raise ValueError("groups must assign one label per observation")
+    R = np.eye(n)
+    for label in dict.fromkeys(groups.tolist()):
+        idx = np.flatnonzero(groups == label)
+        m = idx.size
+        if m <= 1:
+            continue
+        if spec.kind == "ar1":
+            block = rho ** np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+        else:
+            if rho * (m - 1) <= -1.0:
+                raise ValueError(
+                    f"compound symmetry with rho={rho} is not positive definite "
+                    f"for group size {m}"
+                )
+            block = np.full((m, m), rho)
+            np.fill_diagonal(block, 1.0)
+        R[np.ix_(idx, idx)] = block
+    return R

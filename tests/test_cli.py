@@ -216,6 +216,30 @@ class TestScbFosr:
         assert err["error"] == "invalid_input"
         assert err["message"] == "n_boot must be at least 1, got 0"
 
+    @pytest.mark.parametrize("pve", ["nan", "2", "0", "-1"])
+    def test_nonsense_pve_invalid_input(self, tmp_path, fosr_csv, capsys, pve):
+        code = run(["scb", "fosr", "--data", fosr_csv, "--pve", pve, "--nboot", 50,
+                    "--kbasis", 8, "--quiet", "--out", tmp_path / "band.json"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "invalid_input"
+        assert err["message"] == f"--pve must lie in (0, 1], got {float(pve)}"
+
+    def test_repeated_record_invalid_input(self, tmp_path, fosr_csv, capsys):
+        # a second outcome for s0 at its first time used to replace the first
+        lines = fosr_csv.read_text().splitlines()
+        assert lines[1].startswith("s0,")
+        fields = lines[1].split(",")
+        fields[2] = "99"
+        bad = tmp_path / "repeated.csv"
+        bad.write_text("\n".join(lines + [",".join(fields)]) + "\n")
+        code = run(["scb", "fosr", "--data", bad, "--nboot", 50, "--kbasis", 8, "--quiet",
+                    "--out", tmp_path / "band.json"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "invalid_input"
+        assert err["message"] == f"subject 's0' has more than one record at time {float(fields[1])!r}"
+
     def test_missing_required_column(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("subject,time,outcome\na,0,1\n")

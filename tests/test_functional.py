@@ -8,6 +8,7 @@ from confbands import functional
 from confbands.core import substream
 from confbands.functional import (
     _SPOT_BLOCK,
+    _SUBJECT_BLOCK,
     MAMMEN_PROBS,
     MAMMEN_VALUES,
     FunctionalDataset,
@@ -197,6 +198,21 @@ class TestFitFosr:
                                   {"x": data.covariates["x"][:5]})
         with pytest.raises(ValueError, match="10 subjects"):
             fit_fosr(small, ("x",), k_basis=6)
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"pve": 2.0}, "pve must lie in (0, 1], got 2.0"),
+        ({"pve": np.nan}, "pve must lie in (0, 1], got nan"),
+        ({"pve": 0.0}, "pve must lie in (0, 1], got 0.0"),
+        ({"pve": -1.0}, "pve must lie in (0, 1], got -1.0"),
+        ({"n_components": -1}, "n_components must be at least 0, got -1"),
+    ])
+    def test_refuses_nonsense_component_rule(self, rng, setting, message):
+        # pve = 2 or nan used to take every positive component with noise 0,
+        # pve = -1 one component, and n_components = -1 all but the last
+        data = make_dataset(rng, n=30, T=20, noise=0.3)
+        with pytest.raises(ValueError) as info:
+            fit_fosr(data, ("x",), k_basis=6, **setting)
+        assert str(info.value) == message
 
 
 class TestPredictTarget:
@@ -493,6 +509,191 @@ class TestMissingCells:
         assert worst < 0.15
 
 
+def fpca_oracle(E, dt, pve, n_components):
+    """The FPCA of one (n, T) residual matrix, one matrix at a time:
+    (Phi, score variances, noise variance)."""
+    obs = ~np.isnan(E)
+    Z = np.where(obs, E, 0.0)
+    Z = np.where(obs, Z - Z.sum(axis=0) / obs.sum(axis=0), 0.0)
+    C = (Z.T @ Z) / np.maximum(obs.T @ obs.astype(float) - 1, 1)
+    T = E.shape[1]
+    vals, vecs = np.linalg.eigh(C)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    pos = vals > max(vals[0], 0.0) * 1e-12
+    if vals[pos].sum() <= 0:
+        return np.zeros((T, 0)), np.zeros(0), 0.0
+    if n_components is not None:
+        K = min(int(n_components), int(pos.sum()))
+    else:
+        floor = float(np.median(np.clip(vals, 0.0, None)))
+        excess = np.clip(vals[pos] - floor, 0.0, None)
+        if excess.sum() <= 0:
+            excess = vals[pos]
+        K = min(int(np.searchsorted(np.cumsum(excess) / excess.sum(), pve) + 1), int(pos.sum()))
+    tail = vals[K:][vals[K:] > 0].sum()
+    return vecs[:, :K] / np.sqrt(dt), vals[:K] * dt, float(tail / max(T - K, 1))
+
+
+def leave_out_oracle(data, fit, pve=0.95, n_components=None, refit=True):
+    """Every leave-one-subject-out pipeline of ``fit`` run on its own, one
+    subject at a time: the mean model at the fit's lambda from the full
+    moments minus subject i's, the FPCA of the other subjects' residuals,
+    and the score-augmented refit in Kronecker form. Returns the
+    contributions (None without the refit) and each leave-out's K."""
+    Y = data.outcomes
+    n, T = Y.shape
+    B, S1 = fit.basis.matrix, difference_penalty(fit.basis.matrix.shape[1])
+    kb = B.shape[1]
+    Xc = np.column_stack([np.ones(n)] + [data.covariates[c] for c in fit.covariate_names])
+    J1 = Xc.shape[1]
+    p = J1 * kb
+    S = np.kron(np.eye(J1), S1)
+    obs = ~np.isnan(Y)
+    Y0 = np.where(obs, Y, 0.0)
+    complete = obs.all(axis=1)
+    BOB = np.einsum("nt,tk,tl->nkl", obs.astype(float), B, B)
+    ZtZ_i = np.einsum("ni,nj,nkl->nikjl", Xc, Xc, BOB).reshape(n, p, p)
+    Zty_i = np.einsum("nj,nk->njk", Xc, Y0 @ B).reshape(n, p)
+    ZtZ, Zty = ZtZ_i.sum(axis=0), Zty_i.sum(axis=0)
+    XX = Xc[:, :, None] * Xc[:, None, :]
+    YX = Y0[:, :, None] * Xc[:, None, :]
+
+    def mean_curves(theta):
+        return Xc @ (theta.reshape(J1, kb) @ B.T)
+
+    theta_ls = np.linalg.lstsq(ZtZ, Zty, rcond=None)[0]
+    degenerate = (np.abs(np.where(obs, Y - mean_curves(theta_ls), 0.0)).max()
+                  < 1e-8 * max(1.0, np.abs(Y0).max()))
+    dt = data.times[1] - data.times[0]
+
+    def solve(M, rhs):
+        if degenerate:
+            return np.linalg.lstsq(M, rhs, rcond=None)[0]
+        return np.linalg.solve(M + 1e-6 * S, rhs)
+
+    thetas, Ks = [], []
+    for i in range(n):
+        th1 = np.linalg.solve(ZtZ - ZtZ_i[i] + fit.basis.lambda_ * S, Zty - Zty_i[i])
+        if degenerate:
+            Phi, sk2, noise = np.zeros((T, 0)), np.zeros(0), 0.0
+        else:
+            Phi, sk2, noise = fpca_oracle(np.delete(Y - mean_curves(th1), i, axis=0), dt, pve,
+                                          n_components)
+        Ks.append(Phi.shape[1])
+        if not refit:
+            continue
+        ridge = noise / np.maximum(sk2, 1e-10)
+        own = ~complete & (np.arange(n) != i)
+        xx0, yx0 = XX[complete].sum(axis=0), YX[complete].sum(axis=0)
+        if complete[i]:
+            xx0, yx0 = xx0 - XX[i], yx0 - YX[i]
+        BtPhi = B.T @ Phi
+        H = BtPhi @ np.linalg.inv(Phi.T @ Phi + np.diag(ridge))
+        M = ZtZ - ZtZ_i[i] - np.kron(xx0, H @ BtPhi.T)
+        rhs = Zty - Zty_i[i] - (H @ (Phi.T @ yx0)).T.ravel()
+        for j in np.flatnonzero(own):
+            C = B.T @ (obs[j][:, None] * Phi)
+            Hj = C @ np.linalg.inv(Phi.T @ (obs[j][:, None] * Phi) + np.diag(ridge))
+            M -= np.kron(XX[j], Hj @ C.T)
+            rhs -= (Hj @ (Phi.T @ YX[j])).T.ravel()
+        thetas.append(solve(0.5 * (M + M.T), rhs))
+    if not refit:
+        return None, np.array(Ks)
+    return (n - 1.0) / n * (fit.coef.ravel() - np.array(thetas)), np.array(Ks)
+
+
+def fit_recording_k(monkeypatch, data, **kwargs):
+    """fit_fosr, with the K of the fit and of every leave-out, in order, as
+    the stacked FPCA reports them."""
+    Ks = []
+    stack = functional._fpca_stack
+
+    def recording(*args):
+        out = stack(*args)
+        Ks.extend(out[2].tolist())
+        return out
+
+    monkeypatch.setattr(functional, "_fpca_stack", recording)
+    fit = fit_fosr(data, ("x",), **kwargs)
+    return fit, np.array(Ks)
+
+
+def fosr_data(n, seed, missing=0.0):
+    rng = substream(seed)
+    data, _ = generate(SimDesign("fosr", n=n), rng)
+    if not missing:
+        return data
+    Y = data.outcomes.copy()
+    Y[rng.random(Y.shape) < missing] = np.nan
+    return FunctionalDataset(data.ids, data.times, Y, data.covariates)
+
+
+class TestBlockedLeaveOuts:
+    """The leave-outs of fit_fosr run in blocks of _SUBJECT_BLOCK subjects;
+    each must equal the same pipeline run for that subject alone."""
+
+    @pytest.mark.parametrize("missing, n_components", [(0.0, None), (0.1, None), (0.0, 0),
+                                                       (0.1, 0)])
+    def test_matches_per_subject_oracle(self, monkeypatch, missing, n_components):
+        # 2 full blocks and a partial one
+        data = fosr_data(2 * _SUBJECT_BLOCK + 5, 40, missing)
+        fit, Ks = fit_recording_k(monkeypatch, data, k_basis=12, n_components=n_components)
+        u, K_oracle = leave_out_oracle(data, fit, n_components=n_components)
+        np.testing.assert_array_equal(Ks[1:], K_oracle)
+        np.testing.assert_allclose(fit.contributions, u, rtol=0,
+                                   atol=1e-11 * np.abs(u).max())
+
+    def test_degenerate_data_match_per_subject_oracle(self, rng):
+        t = np.linspace(0, 1, 30)
+        beta1 = bspline_basis(t, 10) @ rng.standard_normal(10)
+        data = make_dataset(rng, n=2 * _SUBJECT_BLOCK + 3, T=30, beta1=beta1)
+        with pytest.warns(UserWarning, match="residuals are zero"):
+            fit = fit_fosr(data, ("x",), k_basis=10)
+        u, K_oracle = leave_out_oracle(data, fit)
+        assert not K_oracle.any()
+        np.testing.assert_allclose(fit.contributions, u, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("missing", [0.0, 0.1])
+    def test_width_never_changes_a_result(self, monkeypatch, missing):
+        data = fosr_data(2 * _SUBJECT_BLOCK + 5, 41, missing)
+        runs = []
+        for width in (1, 7, _SUBJECT_BLOCK):
+            monkeypatch.setattr(functional, "_SUBJECT_BLOCK", width)
+            runs.append(fit_fosr(data, ("x",), k_basis=12))
+        # every product of a leave-out is taken on its own, so the width
+        # does not even move the rounding
+        for other in runs[:-1]:
+            np.testing.assert_array_equal(other.contributions, runs[-1].contributions)
+
+    @pytest.mark.parametrize("design", ["criterion_6", "missing_cells"])
+    def test_k_unchanged_on_coverage_seeds(self, monkeypatch, design):
+        # the first 20 replicates of criterion 6's and TestMissingCells' datasets:
+        # every leave-out's K as the per-subject pipeline picks it
+        for b in range(20):
+            if design == "criterion_6":
+                data, _ = generate(SimDesign("fosr", n=100, seed=105), substream(105, b))
+            else:
+                rng = substream(MISSING_CELLS_SEED, b)
+                data, _ = generate(SimDesign("fosr", n=100), rng)
+                Y = data.outcomes.copy()
+                Y[rng.random(Y.shape) < 0.1] = np.nan
+                data = FunctionalDataset(data.ids, data.times, Y, data.covariates)
+            fit, Ks = fit_recording_k(monkeypatch, data)
+            assert Ks[0] == fit.eigenfunctions.shape[1]
+            np.testing.assert_array_equal(Ks[1:], leave_out_oracle(data, fit, refit=False)[1])
+
+    def test_memory_does_not_hold_a_p_by_p_matrix_per_subject(self):
+        # the per-subject (n, p, p) moment stack alone took 27.5 MiB at n = 1000
+        data = fosr_data(1000, 42)
+        tracemalloc.start()
+        try:
+            fit_fosr(data, ("x",))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
 class TestSubsetSpec:
     def test_parse_string(self):
         s = SubsetSpec.parse("use=1, age = 40")
@@ -527,6 +728,13 @@ class TestDataset:
         with pytest.raises(ValueError, match=f"subject '{subject}' .* covariate 'x'"):
             FunctionalDataset.from_long(["a", "a", "b", "b"], [0.0, 1.0, 0.0, 1.0],
                                         [1.0, 2.0, 3.0, 4.0], {"x": x})
+
+    def test_from_long_refuses_repeated_record(self):
+        # the later record used to overwrite the earlier one without a word
+        with pytest.raises(ValueError) as info:
+            FunctionalDataset.from_long(["a", "a", "b", "a"], [0.0, 1.0, 1.0, 1.0],
+                                        [2.0, 2.0, 3.0, 99.0], {"x": [1, 1, 0, 1]})
+        assert str(info.value) == "subject 'a' has more than one record at time 1.0"
 
     def test_missing_cells_become_nan(self):
         data = FunctionalDataset.from_long(

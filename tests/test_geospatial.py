@@ -7,12 +7,12 @@ from confbands.geospatial import (
     CorrelationSpec,
     SpatialObservations,
     _estimate_rho,
-    build_correlation,
     fit_gls_grid,
     fit_gls_spot,
     scb_gls,
 )
 from confbands.regions import check_containment, invert_levels, ThresholdSpec
+from gls_oracle import build_correlation
 
 
 def planted_field(nx=8, ny=6, n_obs=40, rho=0.4, noise=0.6, seed=0, mask=None):
@@ -424,9 +424,10 @@ class TestGridMatchesSpotOracle:
         )
 
     def test_closed_form_kinds_build_no_correlation_matrix(self, monkeypatch):
+        # no (n, n) correlation is written out, so none is factored either
         calls = []
-        monkeypatch.setattr(geospatial, "build_correlation",
-                            lambda *args: calls.append(args) or build_correlation(*args))
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda *args: calls.append(args) or cholesky(*args))
         data, X, _ = planted_field(nx=4, ny=3, n_obs=24, noise=0.5, seed=9)
         fit_gls_grid(data, X, [1.0, 0, 0, 0], CorrelationSpec("none"))
         for kind in ("ar1", "comp_symm"):
