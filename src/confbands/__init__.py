@@ -19,7 +19,6 @@ from .functional import (
     FoSRFit,
     FunctionalDataset,
     SubsetSpec,
-    draw_multipliers,
     fit_fosr,
     predict_target,
     scb_cma,
@@ -30,7 +29,6 @@ from .geospatial import (
     GLSFit,
     SpatialObservations,
     fit_gls_grid,
-    fit_gls_spot,
     scb_gls,
 )
 from .regions import (
@@ -70,9 +68,8 @@ __all__ = [
     "Table", "ModelSpec", "FittedGLM", "parse_formula", "fit_ols",
     "fit_logistic", "predict_mean", "scb_mean_bootstrap", "scb_coef_bootstrap",
     "FunctionalDataset", "FoSRFit", "SubsetSpec", "fit_fosr", "predict_target",
-    "scb_cma", "scb_multiplier", "draw_multipliers",
-    "SpatialObservations", "CorrelationSpec", "GLSFit", "fit_gls_spot",
-    "fit_gls_grid", "scb_gls",
+    "scb_cma", "scb_multiplier",
+    "SpatialObservations", "CorrelationSpec", "GLSFit", "fit_gls_grid", "scb_gls",
     "SimDesign", "CoverageReport", "generate", "run_coverage",
     "__version__",
 ]

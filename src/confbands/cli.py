@@ -160,16 +160,13 @@ def _cmd_scb_fosr(args):
     target = "fitted_mean" if args.fitted == "true" else "coefficient"
     subset = functional.SubsetSpec.parse(args.subset)
     _progress(args, f"estimating {target} band by {args.method}")
+    boot = {} if args.nboot is None else {"n_boot": args.nboot}  # else each method's default
     if args.method == "cma":
-        band = functional.scb_cma(
-            fit, subset, target, alpha=args.alpha,
-            n_boot=10000 if args.nboot is None else args.nboot, seed=args.seed,
-        )
+        band = functional.scb_cma(fit, subset, target, alpha=args.alpha, seed=args.seed, **boot)
     else:
         band = functional.scb_multiplier(
-            data, fit, subset, target, alpha=args.alpha,
-            n_boot=5000 if args.nboot is None else args.nboot, weights=args.weights,
-            sd_method=args.sd, seed=args.seed,
+            data, fit, subset, target, alpha=args.alpha, weights=args.weights,
+            sd_method=args.sd, seed=args.seed, **boot,
         )
     _write_out(args, band_to_json(band))
 

@@ -49,7 +49,6 @@ __all__ = [
     "predict_target",
     "scb_cma",
     "scb_multiplier",
-    "draw_multipliers",
     "cma_max_stats",
     "multiplier_max_stats",
 ]
@@ -277,17 +276,6 @@ def _fpca_stack(E: np.ndarray, pve: float, n_components):
     return vals, vecs, K, tail / np.maximum(T - K, 1)
 
 
-def _fpca_from_residuals(E: np.ndarray, dt: float, pve: float, n_components):
-    """FPCA of one (n, T) residual matrix through :func:`_fpca_stack`.
-
-    Returns (Phi, sigma_k2, noise_var); eigenfunctions are scaled to be
-    orthonormal under the grid inner product (Phi' Phi * dt = I).
-    """
-    vals, vecs, K, noise = _fpca_stack(E[None], pve, n_components)
-    k = int(K[0])
-    return vecs[0, :, :k] / np.sqrt(dt), vals[0, :k] * dt, float(noise[0])
-
-
 def fit_fosr(
     data: FunctionalDataset,
     covariates=None,
@@ -382,8 +370,8 @@ def fit_fosr(
 
     # degeneracy is judged once, on the full data, against an unpenalized
     # fit: the ladder-floor penalty leaves a small bias residue even on
-    # exactly representable data. Degenerate data skip the FPCA (K = 0) in
-    # the fit and in every leave-out, and every refit is least squares.
+    # exactly representable data. Degenerate data keep K = 0 in the fit and
+    # in every leave-out, and every refit is least squares.
     theta_ls = np.linalg.lstsq(ZtZ, Zty, rcond=None)[0]
     resid_ls = np.where(obs, Y - mean_curves(theta_ls), 0.0)
     degenerate = float(np.abs(resid_ls).max()) < 1e-8 * max(1.0, float(np.abs(Y0).max()))
@@ -446,11 +434,13 @@ def fit_fosr(
         M = 0.5 * (M + M.swapaxes(-1, -2))
         return solve(M, rhs[..., None])[..., 0], M
 
-    if degenerate:
-        Phi, sigma_k2, noise = np.zeros((T, 0)), np.zeros(0), 0.0
-    else:
-        Phi, sigma_k2, noise = _fpca_from_residuals(Y - mean_curves(theta1), dt, pve, n_components)
-    K = Phi.shape[1]
+    # the fit's FPCA: the leave-outs' call and component rule, with zero noise
+    # on degenerate data; Phi is orthonormal under the grid inner product
+    vals, vecs, Ks, noises = _fpca_stack((Y - mean_curves(theta1))[None], pve,
+                                         0 if degenerate else n_components)
+    K = int(Ks[0])
+    Phi, sigma_k2 = vecs[0, :, :K] / np.sqrt(dt), vals[0, :K] * dt
+    noise = 0.0 if degenerate else float(noises[0])
     ridge = noise / np.maximum(sigma_k2, 1e-10)
     try:
         theta, M = (a[0] for a in refit(Phi[None], ridge[None], ZtZ, Zty, np.ones((1, n), bool)))
@@ -599,13 +589,6 @@ def scb_cma(
     d = cma_max_stats(C, fit.cov_coef, se, n_boot, rng)
     q = empirical_quantile(d, 1.0 - alpha)
     return assemble_band(eta, se, q, 1.0, alpha, Domain.grid1d(fit.times))
-
-
-def draw_multipliers(kind: str, n: int, rng) -> np.ndarray:
-    """Mean-0, variance-1 multiplier draws of the named law."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return _multiplier_matrix(kind, (int(n),), rng)
 
 
 def _multiplier_matrix(kind: str, shape, rng) -> np.ndarray:

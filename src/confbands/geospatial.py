@@ -27,7 +27,6 @@ __all__ = [
     "SpatialObservations",
     "CorrelationSpec",
     "GLSFit",
-    "fit_gls_spot",
     "fit_gls_grid",
     "scb_gls",
 ]
@@ -121,31 +120,6 @@ class GLSFit:
     beta: np.ndarray  # (n_x, n_y, p), NaN at masked spots
     eta: np.ndarray  # (n_x, n_y)
     se: np.ndarray  # (n_x, n_y)
-
-
-def fit_gls_spot(X, z, V) -> tuple[np.ndarray, np.ndarray]:
-    """GLS at one spot via whitening: beta = (X'V^-1 X)^-1 X'V^-1 z, with
-    the coefficient covariance scaled by the whitened residual variance
-    RSS/(n - p)."""
-    X = np.asarray(X, dtype=float)
-    z = np.asarray(z, dtype=float)
-    n, p = X.shape
-    if n <= p:
-        raise ValueError("need more observations than design columns")
-    try:
-        L = np.linalg.cholesky(np.asarray(V, dtype=float))
-    except np.linalg.LinAlgError:
-        raise ValueError("covariance V is singular or not positive definite") from None
-    Xw = scipy.linalg.solve_triangular(L, X, lower=True)
-    zw = scipy.linalg.solve_triangular(L, z, lower=True)
-    try:
-        XtX_inv = np.linalg.inv(Xw.T @ Xw)
-    except np.linalg.LinAlgError:
-        raise ValueError("design matrix is singular") from None
-    beta = XtX_inv @ (Xw.T @ zw)
-    resid = zw - Xw @ beta
-    sigma2 = float(resid @ resid) / (n - p)
-    return beta, sigma2 * XtX_inv
 
 
 def _whiten(A, rho, kind, groups):

@@ -141,7 +141,7 @@ def invert_interval(band: SCBand, a: float, b: float) -> RegionSet:
     inner = {scb_low >= a} & {scb_up <= b};
     outer = {scb_up >= a} & {scb_low <= b}.
     """
-    a, b = float(a), float(b)
+    a, b = _threshold(a), _threshold(b)
     if a > b:
         raise ValueError("empty interval")
     return _invert(band, "interval", (a, b))

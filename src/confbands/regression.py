@@ -183,14 +183,9 @@ def parse_formula(text: str) -> ModelSpec:
         if sc.peek() == ".":
             sc.pos += 1
             terms.append(Term("all"))
-        elif sc.peek() == "I":
-            mark = sc.pos
+        else:
             name = sc.name()
-            if name != "I" or sc.peek() != "(":
-                # a plain name that happens to start with I
-                sc.pos = mark
-                terms.append(Term("main", sc.name()))
-            else:
+            if name == "I" and sc.peek() == "(":
                 sc.expect("(")
                 var = sc.name()
                 sc.expect("^")
@@ -199,13 +194,11 @@ def parse_formula(text: str) -> ModelSpec:
                 if k < 2:
                     raise FormulaError("power must be >= 2", sc.pos)
                 terms.append(Term("power", var, k))
-        else:
-            terms.append(Term("main", sc.name()))
+            else:
+                terms.append(Term("main", name))
         if sc.done():
             break
         sc.expect("+")
-    if not terms:
-        raise FormulaError("no predictor terms", sc.pos)
     if len(set(terms)) != len(terms):
         raise FormulaError("duplicate terms", 0)
     for t in terms:
@@ -342,6 +335,9 @@ def predict_mean(fit: FittedGLM, grid: Table) -> tuple[np.ndarray, np.ndarray]:
 # bootstrap; it holds a handful of these, so this bounds its memory whatever
 # n, the grid size and n_boot are.
 _CHUNK_BYTES = 8 * 2**20
+
+# the fewest replicates that either bootstrap band accepts
+_MIN_N_BOOT = 100
 
 
 def _rowwise(W, M):
@@ -527,8 +523,8 @@ def scb_mean_bootstrap(
     family = _canon_family(family)
     if grid.n_rows == 0:
         raise ValueError("grid must be nonempty")
-    if n_boot < 100:
-        raise ValueError("n_boot must be at least 100")
+    if n_boot < _MIN_N_BOOT:
+        raise ValueError(f"n_boot must be at least {_MIN_N_BOOT}")
     fit, X, y = _fit(table, spec, family)
     eta, se = predict_mean(fit, grid)
     G_boot = _design(fit.spec.terms, grid_boot if grid_boot is not None else grid, "grid")
@@ -562,8 +558,8 @@ def scb_coef_bootstrap(
     Binomial coefficients stay on the log-odds scale.
     """
     family = _canon_family(family)
-    if n_boot < 100:
-        raise ValueError("n_boot must be at least 100")
+    if n_boot < _MIN_N_BOOT:
+        raise ValueError(f"n_boot must be at least {_MIN_N_BOOT}")
     fit, X, y = _fit(table, spec, family)
     p = len(fit.beta)
     se = np.sqrt(np.maximum(np.diag(fit.cov_beta), 0.0))

@@ -161,38 +161,28 @@ class CoverageReport:
 
 
 def _band_for_replicate(design, data, method, n_boot, alpha, seed):
+    boot = {} if n_boot is None else {"n_boot": n_boot}
     if design.kind == "fosr":
         fit = functional.fit_fosr(data, ("x",))
         if method == "multiplier":
             return functional.scb_multiplier(
-                data, fit, subset="x=1", target="coefficient",
-                alpha=alpha, n_boot=n_boot, seed=seed,
+                data, fit, subset="x=1", target="coefficient", alpha=alpha, seed=seed, **boot
             )
         return functional.scb_cma(
-            fit, subset="x=1", target="coefficient",
-            alpha=alpha, n_boot=n_boot, seed=seed,
+            fit, subset="x=1", target="coefficient", alpha=alpha, seed=seed, **boot
         )
     if design.kind in ("linear_outcome", "logistic_outcome"):
         spec = regression.parse_formula("y ~ x1 + I(x1^2) + I(x1^3)")
         family = "gaussian" if design.kind == "linear_outcome" else "binomial"
         grid = regression.Table.from_arrays(x1=OUTCOME_GRID)
         return regression.scb_mean_bootstrap(
-            data, spec, grid, family=family, n_boot=n_boot, alpha=alpha, seed=seed
+            data, spec, grid, family=family, alpha=alpha, seed=seed, **boot
         )
     spec = regression.parse_formula("y ~ .")
     family = "gaussian" if design.kind == "linear_coef" else "binomial"
     return regression.scb_coef_bootstrap(
-        data, spec, family=family, n_boot=n_boot, alpha=alpha, seed=seed
+        data, spec, family=family, alpha=alpha, seed=seed, **boot
     )
-
-
-_DEFAULT_NBOOT = {
-    "fosr": {"cma": 10000, "multiplier": 5000},
-    "linear_outcome": 1000,
-    "logistic_outcome": 1000,
-    "linear_coef": 1000,
-    "logistic_coef": 1000,
-}
 
 
 def run_coverage(
@@ -206,17 +196,21 @@ def run_coverage(
     """Repeat generate -> fit -> band -> simultaneous containment check.
 
     A replicate whose fit or band construction fails counts as non-coverage
-    and is logged, never dropped. Deterministic for a fixed design seed:
-    replicate b uses substream (seed, b).
+    and is logged, never dropped; an alpha or n_boot that no replicate could
+    use is refused before the first. ``n_boot=None`` takes the band
+    constructor's default. Deterministic for a fixed design seed: replicate
+    b uses substream (seed, b).
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
     if design.kind == "fosr" and method not in ("cma", "multiplier"):
         raise ValueError(f"unknown fosr method {method!r}")
-    if n_boot is None:
-        n_boot = _DEFAULT_NBOOT[design.kind]
-        if isinstance(n_boot, dict):
-            n_boot = n_boot[method]
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    min_boot = 1 if design.kind == "fosr" else regression._MIN_N_BOOT
+    if n_boot is not None and n_boot < min_boot:
+        raise ValueError(f"n_boot must be at least {min_boot} for the {design.kind} design, "
+                         f"got {n_boot}")
     contained = []
     failures = []
     bands = []

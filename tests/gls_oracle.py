@@ -1,7 +1,9 @@
-"""Dense within-spot correlation matrices, the oracle that the closed-form
-GLS whitening in :mod:`confbands.geospatial` is tested against."""
+"""Dense within-spot correlation matrices and the GLS fit of one spot, the
+oracles that the closed-form GLS whitening and the stacked grid fit in
+:mod:`confbands.geospatial` are tested against."""
 
 import numpy as np
+import scipy.linalg
 
 from confbands.geospatial import CorrelationSpec
 
@@ -42,3 +44,28 @@ def build_correlation(spec: CorrelationSpec, n: int) -> np.ndarray:
             np.fill_diagonal(block, 1.0)
         R[np.ix_(idx, idx)] = block
     return R
+
+
+def fit_gls_spot(X, z, V) -> tuple[np.ndarray, np.ndarray]:
+    """GLS at one spot via whitening: beta = (X'V^-1 X)^-1 X'V^-1 z, with
+    the coefficient covariance scaled by the whitened residual variance
+    RSS/(n - p)."""
+    X = np.asarray(X, dtype=float)
+    z = np.asarray(z, dtype=float)
+    n, p = X.shape
+    if n <= p:
+        raise ValueError("need more observations than design columns")
+    try:
+        L = np.linalg.cholesky(np.asarray(V, dtype=float))
+    except np.linalg.LinAlgError:
+        raise ValueError("covariance V is singular or not positive definite") from None
+    Xw = scipy.linalg.solve_triangular(L, X, lower=True)
+    zw = scipy.linalg.solve_triangular(L, z, lower=True)
+    try:
+        XtX_inv = np.linalg.inv(Xw.T @ Xw)
+    except np.linalg.LinAlgError:
+        raise ValueError("design matrix is singular") from None
+    beta = XtX_inv @ (Xw.T @ zw)
+    resid = zw - Xw @ beta
+    sigma2 = float(resid @ resid) / (n - p)
+    return beta, sigma2 * XtX_inv

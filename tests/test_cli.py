@@ -463,3 +463,23 @@ class TestSimulateCommand:
         doc = json.loads(out.read_text())
         assert doc["replicates"] == 3
         assert len(doc["contained"]) == 3
+
+    @pytest.mark.parametrize("extra, named", [(["--design", "linear_coef", "--nboot", 5], "n_boot"),
+                                              (["--design", "fosr", "--nboot", 0], "n_boot"),
+                                              (["--design", "linear_outcome", "--alpha", 0], "alpha")])
+    def test_bad_input_invalid_input_before_any_fit(self, tmp_path, capsys, monkeypatch,
+                                                    extra, named):
+        # each used to exit 0 with coverage 0 and every replicate failed
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit before the input was checked")
+
+        monkeypatch.setattr("confbands.functional.fit_fosr", no_fit)
+        monkeypatch.setattr("confbands.simulate.generate", no_fit)
+        out = tmp_path / "report.json"
+        code = run(["simulate", "coverage", *extra, "--n", 20, "--reps", 2, "--quiet",
+                    "--out", out])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "invalid_input"
+        assert err["message"].startswith(named + " must")
+        assert not out.exists()

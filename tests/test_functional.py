@@ -16,8 +16,7 @@ from confbands.functional import (
     bspline_basis,
     cma_max_stats,
     difference_penalty,
-    draw_multipliers,
-    _fpca_from_residuals,
+    _multiplier_matrix,
     fit_fosr,
     multiplier_max_stats,
     predict_target,
@@ -164,7 +163,7 @@ class TestFitFosr:
             mean_coef = np.linalg.solve(Z_i.T @ Z_i + fit.basis.lambda_ * S, Z_i.T @ y_i)
             E = np.full((n - 1, T), np.nan)
             E[rows, cols] = y_i - Z_i @ mean_coef
-            b_i = dense_refit(keep, *_fpca_from_residuals(E, t[1] - t[0], 0.95, n_components))[0]
+            b_i = dense_refit(keep, *fpca_oracle(E, t[1] - t[0], 0.95, n_components))[0]
             np.testing.assert_allclose(fit.contributions[i], (n - 1) / n * (b[:p] - b_i[:p]),
                                        rtol=0, atol=1e-9)
 
@@ -318,23 +317,19 @@ class TestMultipliers:
 
     def test_rademacher_sample_mean(self):
         rng = substream(7)
-        g = draw_multipliers("rademacher", 10**6, rng)
+        g = _multiplier_matrix("rademacher", (10**6,), rng)
         assert set(np.unique(g)) == {-1.0, 1.0}
         assert abs(g.mean()) < 0.004
 
     def test_fixed_seed_reproducible(self):
         for kind in ("rademacher", "gaussian", "mammen"):
-            a = draw_multipliers(kind, 100, substream(3))
-            b = draw_multipliers(kind, 100, substream(3))
+            a = _multiplier_matrix(kind, (100,), substream(3))
+            b = _multiplier_matrix(kind, (100,), substream(3))
             assert np.array_equal(a, b)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown multiplier"):
-            draw_multipliers("webb", 10, substream(0))
-
-    def test_n_must_be_positive(self):
-        with pytest.raises(ValueError):
-            draw_multipliers("gaussian", 0, substream(0))
+            _multiplier_matrix("webb", (10,), substream(0))
 
 
 class TestMultiplierBootstrap:
@@ -426,7 +421,7 @@ def unblocked_multiplier_max(samples, n_boot, weights, sd_method, rng):
     N = samples.shape[0]
     flat = samples.reshape(N, -1)
     R = np.sqrt(N / (N - 1.0)) * (flat - flat.mean(axis=0))
-    g = draw_multipliers(weights, n_boot * N, rng).reshape(n_boot, N)
+    g = _multiplier_matrix(weights, (n_boot * N,), rng).reshape(n_boot, N)
     num = g @ R
     if sd_method == "regular":
         eps = flat.std(axis=0, ddof=1)
@@ -652,6 +647,17 @@ class TestBlockedLeaveOuts:
         u, K_oracle = leave_out_oracle(data, fit)
         assert not K_oracle.any()
         np.testing.assert_allclose(fit.contributions, u, rtol=0, atol=1e-10)
+
+    def test_degenerate_fit_and_leave_outs_share_the_fpca_rule(self, monkeypatch, rng):
+        # the fit and every leave-out run the stacked FPCA, all at K = 0
+        t = np.linspace(0, 1, 30)
+        beta1 = bspline_basis(t, 10) @ rng.standard_normal(10)
+        n = 2 * _SUBJECT_BLOCK + 3
+        data = make_dataset(rng, n=n, T=30, beta1=beta1)
+        with pytest.warns(UserWarning, match="residuals are zero"):
+            fit, Ks = fit_recording_k(monkeypatch, data, k_basis=10)
+        np.testing.assert_array_equal(Ks, np.zeros(n + 1))
+        assert fit.eigenfunctions.shape == (30, 0) and fit.noise_variance == 0.0
 
     @pytest.mark.parametrize("missing", [0.0, 0.1])
     def test_width_never_changes_a_result(self, monkeypatch, missing):

@@ -8,11 +8,10 @@ from confbands.geospatial import (
     SpatialObservations,
     _estimate_rho,
     fit_gls_grid,
-    fit_gls_spot,
     scb_gls,
 )
 from confbands.regions import check_containment, invert_levels, ThresholdSpec
-from gls_oracle import build_correlation
+from gls_oracle import build_correlation, fit_gls_spot
 
 
 def planted_field(nx=8, ny=6, n_obs=40, rho=0.4, noise=0.6, seed=0, mask=None):

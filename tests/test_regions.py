@@ -76,6 +76,14 @@ class TestWorkedExamples:
         with pytest.raises(ValueError, match="empty interval"):
             invert_interval(band, 1.0, 0.0)
 
+    @pytest.mark.parametrize("a, b", [(np.nan, 0.5), (0.2, np.nan), (-np.inf, 0.5),
+                                      (0.2, np.inf), (-np.inf, np.inf)])
+    def test_interval_rejects_non_finite_endpoints(self, rng, a, b):
+        # a NaN endpoint used to give empty regions, an infinite one a half-line
+        band = random_band(rng, "grid1d")
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            invert_interval(band, a, b)
+
     def test_two_sided_symmetric_zero(self):
         band = band_from_surfaces([-2, -1, -3], [0, 1, -1], [2, 3, 1])
         up, lo = invert_two_sided(band, 0.0)

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from confbands.core import substream
+from confbands import functional
+from confbands.core import band_to_json, substream
 from confbands.simulate import OUTCOME_GRID, SimDesign, fosr_truth, generate, run_coverage
 
 
@@ -106,3 +107,34 @@ class TestRunCoverage:
         design = SimDesign("linear_outcome", n=100, seed=12)
         rep = run_coverage(design, replicates=80, alpha=0.5, n_boot=200)
         assert abs(rep.coverage - 0.5) <= 4 * max(rep.mc_se, 0.056)
+
+    @pytest.fixture
+    def no_fit(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("data drawn or fit before the input was checked")
+
+        monkeypatch.setattr("confbands.simulate.generate", refuse)
+        monkeypatch.setattr(functional, "fit_fosr", refuse)
+
+    @pytest.mark.parametrize("kind, n_boot, minimum", [("linear_coef", 5, 100),
+                                                       ("linear_outcome", 99, 100),
+                                                       ("fosr", 0, 1)])
+    def test_n_boot_below_the_design_minimum_refused(self, no_fit, kind, n_boot, minimum):
+        # used to fail every replicate and report a coverage of 0
+        with pytest.raises(ValueError, match=f"^n_boot must be at least {minimum} "):
+            run_coverage(SimDesign(kind, n=20, seed=1), replicates=2, n_boot=n_boot)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, float("nan")])
+    def test_alpha_outside_unit_interval_refused(self, no_fit, alpha):
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\)"):
+            run_coverage(SimDesign("linear_outcome", n=20), replicates=1, alpha=alpha)
+
+    @pytest.mark.parametrize("kind, method, default", [("linear_outcome", "cma", 1000),
+                                                       ("linear_coef", "cma", 1000),
+                                                       ("fosr", "cma", 10000),
+                                                       ("fosr", "multiplier", 5000)])
+    def test_default_n_boot_is_the_band_constructors(self, kind, method, default):
+        design = SimDesign(kind, n=20, seed=3)
+        runs = [run_coverage(design, replicates=1, method=method, n_boot=n_boot,
+                             keep_bands=True)[1][0][0] for n_boot in (None, default)]
+        assert band_to_json(runs[0]) == band_to_json(runs[1])
