@@ -155,6 +155,8 @@ def _cmd_scb_coef(args):
 def _cmd_scb_fosr(args):
     if not 0.0 < args.pve <= 1.0:
         raise ValueError(f"--pve must lie in (0, 1], got {args.pve}")
+    if args.nboot is not None and args.nboot < 1:
+        raise ValueError(f"n_boot must be at least 1, got {args.nboot}")
     data = _load_fosr_csv(args.data)
     fit = functional.fit_fosr(data, k_basis=args.kbasis, pve=args.pve)
     target = "fitted_mean" if args.fitted == "true" else "coefficient"

@@ -558,7 +558,9 @@ def cma_max_stats(C, cov, se, n_boot: int, rng) -> np.ndarray:
 
     Draws coefficient vectors from N(0, cov), maps them through the contrast
     C, standardizes by the pointwise SE elementwise, and returns the per-draw
-    grid maxima of the absolute values.
+    grid maxima of the absolute values. The draws use the eigenvectors of
+    ``cov`` with each one's largest-magnitude entry positive, so they do not
+    depend on the sign ``eigh`` returns.
     """
     if n_boot < 1:
         raise ValueError(f"n_boot must be at least 1, got {n_boot}")
@@ -566,7 +568,10 @@ def cma_max_stats(C, cov, se, n_boot: int, rng) -> np.ndarray:
     vals, vecs = np.linalg.eigh(cov)
     if vals.min(initial=0.0) < -1e-8 * max(vals.max(initial=1.0), 1.0):
         warnings.warn("covariance is not PSD; projecting negative eigenvalues to 0")
-    root = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    # LAPACK returns either sign of an eigenvector; taking each one with its
+    # largest-magnitude entry positive keeps the draws from jumping with cov
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    root = vecs * np.where(lead < 0, -1.0, 1.0) * np.sqrt(np.clip(vals, 0.0, None))
     z = rng.standard_normal((n_boot, cov.shape[0]))
     disp = z @ root.T  # draws of (beta_b - beta_hat)
     field = disp @ np.asarray(C, dtype=float).T

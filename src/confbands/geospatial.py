@@ -296,6 +296,8 @@ def scb_gls(
     observation, shared across spots) to calibrate the max statistic. Masked
     spots carry no band values.
     """
+    if n_boot < 1:
+        raise ValueError(f"n_boot must be at least 1, got {n_boot}")
     fit, contrib = fit_gls_grid(data, design, w, corr)
     rng = substream(seed)
     maxima = multiplier_max_stats(contrib, n_boot, rng=rng)

@@ -10,12 +10,14 @@ scale and mapped through the inverse link.
 
 Resampling rows is the same as weighting the original rows by multinomial
 counts, so replicate b is a count-weighted refit on the original design with
-weights ``bincount(idx_b, minlength=n)``, where ``idx_b`` is drawn from the
-keyed substream ``(seed, b, attempt)``. The point fits are the same weighted
-kernels with unit weights, so there is one least-squares and one IRLS solver.
-Replicates are refit in chunks whose size follows from the fixed memory
-budget ``_CHUNK_BYTES``; each replicate is reduced and solved on its own, so
-the chunk size never changes a result.
+weights ``bincount(idx_b, minlength=n)``. Each redraw round takes one keyed
+stream, ``substream(seed, attempt)``, and replicate b reads its n row indices
+from that stream's raw outputs ``[b*n, (b+1)*n)``, so its counts depend on
+``(seed, b, attempt)`` alone. The point fits are the same weighted kernels
+with unit weights, so there is one least-squares and one IRLS solver.
+Replicates are drawn and refit in chunks whose size follows from the fixed
+memory budget ``_CHUNK_BYTES``; each replicate is read at its own offset,
+reduced and solved on its own, so the chunk size never changes a result.
 """
 
 from __future__ import annotations
@@ -453,19 +455,48 @@ def _canon_family(family: str) -> str:
     return _FAMILY_ALIASES[family]
 
 
+def _resample_counts(stream, replicates, n):
+    """Multinomial(n, 1/n) resampling counts of the increasing replicate
+    numbers ``replicates``, shape (len(replicates), n).
+
+    Replicate b reads the raw outputs ``[b*n, (b+1)*n)`` of the PCG64
+    ``stream``, counted from its current position, and maps each to the row
+    ``floor(n * u)`` with ``u = (raw >> 11) * 2**-53``, the 53-bit uniform of
+    ``Generator.random``; so its row depends on the stream, b and n alone.
+    Each run of consecutive replicates is one ``advance`` and one
+    ``random_raw``. The stream is left where it was.
+    """
+    start = stream.state
+    raw, pos = [], 0
+    for run in np.split(replicates, np.flatnonzero(np.diff(replicates) != 1) + 1):
+        stream.advance(int(run[0]) * n - pos)
+        raw.append(stream.random_raw(run.size * n))
+        pos = (int(run[-1]) + 1) * n
+    stream.state = start
+    # each array is dropped once used: a chunk's draws fill the memory budget
+    k = np.concatenate(raw) >> np.uint64(11)
+    del raw
+    # k * (n * 2**-53) rounds exactly as n * u does: scaling by 2**-53 is exact
+    rows = (k * (n * 2.0**-53)).astype(np.intp).reshape(-1, n)
+    del k
+    rows += np.arange(len(rows))[:, None] * n  # one bincount for all replicates
+    return np.bincount(rows.ravel(), minlength=rows.size).reshape(-1, n).astype(float)
+
+
 def _bootstrap_max_stats(X, y, family, stat_design, center, n_boot, seed):
     """Per-replicate max standardized deviations for the resampling bootstrap.
 
     ``stat_design``: design matrix mapping coefficients to the statistic grid
     (identity for coefficient bands). ``center``: the original-fit statistic
-    on that grid. Failed refits are redrawn (fresh substream per attempt),
-    capped at 10 * n_boot attempts in total.
+    on that grid. Failed refits are redrawn in the next round, from the
+    round's own stream ``substream(seed, attempt)``, capped at 10 * n_boot
+    attempts in total.
     """
     n = X.shape[0]
     chunk = max(1, _CHUNK_BYTES // (8 * max(n, stat_design.size)))
     r_max = np.full(n_boot, np.nan)
     pending = np.arange(n_boot)
-    attempt = np.zeros(n_boot, dtype=int)
+    attempt = 0
     total_attempts = 0
     while pending.size:
         total_attempts += pending.size
@@ -473,18 +504,16 @@ def _bootstrap_max_stats(X, y, family, stat_design, center, n_boot, seed):
             raise RuntimeError(
                 "bootstrap exceeded the retry budget (10 * n_boot failed refits)"
             )
+        stream = substream(seed, attempt).bit_generator
         failed = []
         for start in range(0, pending.size, chunk):
             part = pending[start:start + chunk]
-            C = np.empty((part.size, n))
-            for j, b in enumerate(part):
-                rng = substream(seed, int(b), int(attempt[b]))
-                C[j] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            C = _resample_counts(stream, part, n)
             stats, ok = _replicate_max_stats(X, y, family, C, stat_design, center)
             r_max[part[ok]] = stats[ok]
             failed.append(part[~ok])
         pending = np.concatenate(failed)
-        attempt[pending] += 1
+        attempt += 1
     return r_max
 
 

@@ -207,8 +207,14 @@ class TestScbFosr:
         assert "'s0'" in err["message"] and "'use'" in err["message"]
 
     @pytest.mark.parametrize("method", ["cma", "multiplier"])
-    def test_zero_nboot_invalid_input(self, tmp_path, fosr_csv, capsys, method):
-        # --nboot 0 used to run the method's default number of draws
+    def test_zero_nboot_invalid_input(self, tmp_path, fosr_csv, capsys, monkeypatch, method):
+        # --nboot 0 used to run the method's default number of draws, and
+        # then to be refused only after the CSV was loaded and fit
+        def no_fit(*args, **kwargs):
+            raise AssertionError("data read before --nboot was checked")
+
+        monkeypatch.setattr("confbands.cli._load_fosr_csv", no_fit)
+        monkeypatch.setattr("confbands.functional.fit_fosr", no_fit)
         code = run(["scb", "fosr", "--data", fosr_csv, "--method", method, "--nboot", 0,
                     "--kbasis", 8, "--quiet", "--out", tmp_path / "band.json"])
         assert code == 1
@@ -333,8 +339,13 @@ class TestScbGls:
         assert err["error"] == "invalid_input"
         assert err["message"] == named
 
-    def test_zero_nboot_invalid_input(self, tmp_path, gls_files, capsys):
+    def test_zero_nboot_invalid_input(self, tmp_path, gls_files, capsys, monkeypatch):
         hpath, dpath = gls_files
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit before n_boot was checked")
+
+        monkeypatch.setattr("confbands.geospatial.fit_gls_grid", no_fit)
         code = run(["scb", "gls", "--data", hpath, "--design", dpath, "--w", "1,0",
                     "--nboot", 0, "--quiet", "--out", tmp_path / "gls.json"])
         assert code == 1

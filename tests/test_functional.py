@@ -298,6 +298,19 @@ class TestCma:
         alone = cma_max_stats(C[1:], cov, [0.3], 500, substream(1))
         np.testing.assert_allclose(both, alone, rtol=1e-14)
 
+    def test_eigenvector_sign_does_not_change_draws(self, rng, monkeypatch):
+        # LAPACK may return -v for an eigenvector v; the draws must not follow
+        A = rng.standard_normal((5, 5))
+        cov = A @ A.T
+        C = rng.standard_normal((7, 5))
+        se = np.sqrt(np.einsum("gp,pq,gq->g", C, cov, C))
+        want = cma_max_stats(C, cov, se, 300, substream(2))
+        eigh = np.linalg.eigh
+        for flip in ([-1.0] * 5, [1.0, -1.0, 1.0, -1.0, -1.0]):
+            monkeypatch.setattr(np.linalg, "eigh",
+                                lambda a, flip=flip: (eigh(a)[0], eigh(a)[1] * flip))
+            np.testing.assert_array_equal(cma_max_stats(C, cov, se, 300, substream(2)), want)
+
     def test_q_monotone_in_alpha_same_draws(self, rng):
         from confbands.core import empirical_quantile
 

@@ -449,8 +449,8 @@ class TestCountWeightedRefits:
             spec = parse_formula("y ~ x + I(x^2)")
         X, _, y = build_design(t, spec)
         n = len(y)
-        idx = np.stack([substream(11, b, 0).integers(0, n, size=n) for b in range(60)])
-        C = np.stack([np.bincount(i, minlength=n) for i in idx]).astype(float)
+        C = regression._resample_counts(substream(11, 0).bit_generator, np.arange(60), n)
+        idx = [np.repeat(np.arange(n), c.astype(int)) for c in C]
         if family == "gaussian":
             beta, cov, ok, _ = regression._ols_refit(X, y, C)
         else:
@@ -502,3 +502,107 @@ class TestCountWeightedRefits:
             tracemalloc.stop()
         assert np.isfinite(band.q_alpha)
         assert peak < 256 * 2**20
+
+
+class FullStream:
+    """A stand-in PCG64 whose every raw output is 2**64 - 1, the largest."""
+
+    state = None
+
+    def advance(self, delta):
+        pass
+
+    def random_raw(self, size):
+        return np.full(size, 2**64 - 1, dtype=np.uint64)
+
+
+class TestResampleCounts:
+    """Round ``attempt`` of a bootstrap draws from ``substream(seed, attempt)``,
+    and replicate b reads that stream's raw outputs [b*n, (b+1)*n)."""
+
+    def counts(self, replicates, n, seed=5, attempt=0):
+        stream = substream(seed, attempt).bit_generator
+        return regression._resample_counts(stream, np.asarray(replicates), n)
+
+    def test_rows_match_generator_random_at_offset(self):
+        # replicate b's indices are floor(n * u) over Generator.random after
+        # b * n draws of the round's stream
+        n = 37
+        C = self.counts([0, 1, 2, 9, 40], n)
+        for row, b in zip(C, [0, 1, 2, 9, 40]):
+            rng = substream(5, 0)
+            rng.bit_generator.advance(b * n)
+            idx = np.floor(n * rng.random(n)).astype(int)
+            np.testing.assert_array_equal(row, np.bincount(idx, minlength=n))
+
+    def test_row_independent_of_neighbours(self):
+        # drawn alone, inside a run, beside gaps or in a later call on the
+        # same stream, replicate 7 gets one row
+        n = 23
+        alone = self.counts([7], n)[0]
+        stream = substream(5, 0).bit_generator
+        for replicates, j in [(range(10), 7), ([1, 2, 7, 30, 31], 2), ([7, 8], 0),
+                              ([0, 3, 5, 7], 3), ([6, 7, 8, 20], 1)]:
+            C = regression._resample_counts(stream, np.asarray(replicates), n)
+            np.testing.assert_array_equal(C[j], alone)
+
+    def test_rows_sum_to_n(self):
+        for n in (1, 2, 3, 50, 1001):
+            C = self.counts(np.r_[0:40, 45, 60:64], n)
+            assert C.shape == (45, n)
+            assert np.all(C >= 0)
+            np.testing.assert_array_equal(C.sum(axis=1), n)
+
+    def test_attempts_draw_different_counts(self):
+        first, second = self.counts(range(20), 30, attempt=0), self.counts(range(20), 30, attempt=1)
+        assert not np.any(np.all(first == second, axis=1))
+        assert not np.array_equal(self.counts(range(20), 30, seed=6), first)
+
+    @pytest.mark.parametrize("n", [2, 3, 2**7 - 1, 2**7, 2**7 + 1,
+                                   2**20 - 1, 2**20, 2**20 + 1, 200_000])
+    def test_largest_raw_output_maps_below_n(self, n):
+        # u = 1 - 2**-53 at raw = 2**64 - 1; n * u must not round up to n
+        C = regression._resample_counts(FullStream(), np.arange(2), n)
+        assert C.shape == (2, n)
+        np.testing.assert_array_equal(C[:, -1], n)
+
+    def test_first_replicates_independent_of_n_boot(self, rng, monkeypatch):
+        # the counts of replicates 0..199 are the same whether 200 or 1000
+        # are drawn, and whatever the chunk size
+        t = Table.from_arrays(x=rng.standard_normal(40), y=rng.standard_normal(40))
+        grid = Table.from_arrays(x=np.linspace(-1, 1, 5))
+        drawn = []
+        resample_counts = regression._resample_counts
+
+        def record(stream, replicates, n):
+            C = resample_counts(stream, replicates, n)
+            drawn[-1].append(C)
+            return C
+
+        monkeypatch.setattr(regression, "_resample_counts", record)
+        for n_boot, budget in [(200, regression._CHUNK_BYTES), (1000, 8 * 40 * 64)]:
+            monkeypatch.setattr(regression, "_CHUNK_BYTES", budget)
+            drawn.append([])
+            scb_mean_bootstrap(t, parse_formula("y ~ x"), grid, n_boot=n_boot, seed=2)
+        first, second = (np.concatenate(d) for d in drawn)
+        assert len(first) == 200 and len(second) == 1000
+        np.testing.assert_array_equal(first, second[:200])
+
+    def test_one_stream_per_round(self, rng, monkeypatch):
+        # every replicate of a round shares the round's stream; a redraw-prone
+        # design needs more rounds, each keyed by its attempt number
+        keys = []
+
+        def spy(seed, *key):
+            keys.append((seed, *key))
+            return substream(seed, *key)
+
+        monkeypatch.setattr(regression, "substream", spy)
+        t = redraw_prone_table(rng)
+        scb_coef_bootstrap(t, parse_formula("y ~ x + z"), n_boot=150, seed=6)
+        assert len(keys) > 1
+        assert keys == [(6, attempt) for attempt in range(len(keys))]
+        keys.clear()
+        t = Table.from_arrays(x=rng.standard_normal(40), y=rng.standard_normal(40))
+        scb_coef_bootstrap(t, parse_formula("y ~ x"), n_boot=300, seed=3)
+        assert keys == [(3, 0)]
