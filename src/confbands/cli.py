@@ -175,7 +175,11 @@ def _cmd_scb_fosr(args):
 
 def _cmd_scb_gls(args):
     data = _load_spatial(args.data, args.mask)
-    design = np.loadtxt(args.design, delimiter=",", skiprows=args.design_header)
+    try:
+        design = np.loadtxt(args.design, delimiter=",", skiprows=args.design_header)
+    except ValueError as exc:
+        raise ValueError(f"--design file {args.design!r} must hold comma-separated numbers: "
+                         f"{exc}") from None
     if design.ndim == 1:
         design = design[:, None]
     try:

@@ -39,6 +39,17 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
+def _axis(name: str, values) -> np.ndarray:
+    """``values`` as a float array, refused unless nonempty, 1-D and strictly
+    increasing; the message names the axis ``name``."""
+    c = np.asarray(values, dtype=float)
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError(f"{name} must be a nonempty 1-D sequence")
+    if not np.all(np.diff(c) > 0):
+        raise ValueError(f"{name} must be strictly increasing")
+    return c
+
+
 @dataclass(frozen=True)
 class Domain:
     """Evaluation domain: a 1D grid, a 2D grid with optional mask, or labels.
@@ -65,12 +76,7 @@ class Domain:
                 raise ValueError("labels must be unique")
         else:
             for name in ("coords1", "coords2") if self.kind == "grid2d" else ("coords1",):
-                c = np.asarray(getattr(self, name), dtype=float)
-                if c.ndim != 1 or c.size == 0:
-                    raise ValueError(f"{name} must be a nonempty 1-D sequence")
-                if c.size > 1 and not np.all(np.diff(c) > 0):
-                    raise ValueError(f"{name} must be strictly increasing")
-                object.__setattr__(self, name, c)
+                object.__setattr__(self, name, _axis(name, getattr(self, name)))
             if self.kind == "grid1d" and self.coords2 is not None:
                 raise ValueError("coords2 only valid for grid2d domains")
         if self.mask is not None:
@@ -193,6 +199,13 @@ def _band_limits(eta_hat, se, q, tau, link):
     # clamped to bracket p
     lin = _logit(eta_hat)
     return np.minimum(_expit(lin - half), eta_hat), np.maximum(_expit(lin + half), eta_hat)
+
+
+def _check_alpha(alpha: float) -> None:
+    """Refuse an ``alpha`` outside (0, 1), NaN included; band constructors
+    call this before any fit or draw."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 def empirical_quantile(samples, level: float) -> float:

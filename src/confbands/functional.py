@@ -32,6 +32,7 @@ from scipy.interpolate import BSpline
 from .core import (
     Domain,
     SCBand,
+    _check_alpha,
     _studentized_max,
     assemble_band,
     empirical_quantile,
@@ -589,6 +590,7 @@ def scb_cma(
 ) -> SCBand:
     """Correlation- and multiplicity-adjusted band by parametric simulation
     from the coefficient posterior."""
+    _check_alpha(alpha)
     eta, se, C = predict_target(fit, subset, target)
     rng = substream(seed)
     d = cma_max_stats(C, fit.cov_coef, se, n_boot, rng)
@@ -612,7 +614,8 @@ def multiplier_max_stats(
     n_boot: int,
     weights: str = "rademacher",
     sd_method: str = "t",
-    rng=None,
+    *,
+    rng,
 ) -> np.ndarray:
     """Multiplier-t max statistics for an (N, grid) sample of contributions.
 
@@ -626,8 +629,9 @@ def multiplier_max_stats(
     taken once per spot. Cells where both numerator and SD vanish
     contribute 0.
 
-    The multipliers are drawn once; the spots are then reduced in blocks of
-    the fixed width ``_SPOT_BLOCK``, keeping a running maximum per replicate.
+    The multipliers are drawn once, from the caller's keyed ``rng``; the
+    spots are then reduced in blocks of the fixed width ``_SPOT_BLOCK``,
+    keeping a running maximum per replicate.
     Memory is O(n_boot (N + width) + N spots), not n_boot x spots, and since
     a replicate's maximum is the maximum of its block maxima the width never
     changes a result: it depends only on the multipliers, hence on the seed.
@@ -642,8 +646,6 @@ def multiplier_max_stats(
         raise ValueError(f"n_boot must be at least 1, got {n_boot}")
     if sd_method not in ("t", "regular"):
         raise ValueError(f"unknown sd_method {sd_method!r}")
-    if rng is None:
-        rng = np.random.default_rng()
     flat = samples.reshape(N, -1)
     R = flat - flat.mean(axis=0)
     R *= np.sqrt(N / (N - 1.0))
@@ -688,6 +690,7 @@ def scb_multiplier(
     is eta_hat +/- q * zeta(s)/sqrt(N) with zeta the pointwise sample SD of
     the contributions.
     """
+    _check_alpha(alpha)
     Y = data.outcomes
     # domain values identically zero (beyond the first index) break the
     # studentization, mirroring the documented precondition
@@ -698,7 +701,7 @@ def scb_multiplier(
     N = fit.n_subjects
     psi = N * (fit.contributions @ C.T)  # (N, grid)
     rng = substream(seed)
-    maxima = multiplier_max_stats(psi, n_boot, weights, sd_method, rng)
+    maxima = multiplier_max_stats(psi, n_boot, weights, sd_method, rng=rng)
     q = empirical_quantile(maxima, 1.0 - alpha)
     zeta = psi.std(axis=0, ddof=1)
     return assemble_band(eta, zeta / np.sqrt(N), q, 1.0, alpha, Domain.grid1d(fit.times))

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import Domain, SCBand, assemble_band, empirical_quantile, substream
+from .core import (
+    Domain, SCBand, _axis, _check_alpha, assemble_band, empirical_quantile, substream,
+)
 from .functional import multiplier_max_stats
 
 __all__ = [
@@ -43,8 +45,7 @@ class SpatialObservations:
     mask: np.ndarray | None = None
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        x, y = _axis("x", self.x), _axis("y", self.y)
         Z = np.asarray(self.values, dtype=float)
         if Z.ndim != 3 or Z.shape[1] != x.size or Z.shape[2] != y.size:
             raise ValueError(
@@ -296,6 +297,7 @@ def scb_gls(
     observation, shared across spots) to calibrate the max statistic. Masked
     spots carry no band values.
     """
+    _check_alpha(alpha)
     if n_boot < 1:
         raise ValueError(f"n_boot must be at least 1, got {n_boot}")
     fit, contrib = fit_gls_grid(data, design, w, corr)

@@ -10,14 +10,14 @@ scale and mapped through the inverse link.
 
 Resampling rows is the same as weighting the original rows by multinomial
 counts, so replicate b is a count-weighted refit on the original design with
-weights ``bincount(idx_b, minlength=n)``. Each redraw round takes one keyed
-stream, ``substream(seed, attempt)``, and replicate b reads its n row indices
-from that stream's raw outputs ``[b*n, (b+1)*n)``, so its counts depend on
-``(seed, b, attempt)`` alone. The point fits are the same weighted kernels
-with unit weights, so there is one least-squares and one IRLS solver.
-Replicates are drawn and refit in chunks whose size follows from the fixed
-memory budget ``_CHUNK_BYTES``; each replicate is read at its own offset,
-reduced and solved on its own, so the chunk size never changes a result.
+weights ``bincount(idx_b, minlength=n)``. Each redraw round reads its own
+keyed generator, ``substream(seed, attempt)``, front to back: the round's
+k-th replicate takes the next n uniforms u and draws the rows ``floor(n * u)``.
+The point fits are the same weighted kernels with unit weights, so there is
+one least-squares and one IRLS solver. Replicates are drawn and refit in
+chunks whose size follows from the fixed memory budget ``_CHUNK_BYTES``;
+each replicate is reduced and solved on its own, so the chunk size never
+changes a result.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import scipy.linalg
 from .core import (
     Domain,
     SCBand,
+    _check_alpha,
     _expit,
     _read_csv,
     _studentized_max,
@@ -455,31 +456,16 @@ def _canon_family(family: str) -> str:
     return _FAMILY_ALIASES[family]
 
 
-def _resample_counts(stream, replicates, n):
-    """Multinomial(n, 1/n) resampling counts of the increasing replicate
-    numbers ``replicates``, shape (len(replicates), n).
+def _resample_counts(rng, count, n):
+    """Multinomial(n, 1/n) resampling counts of the next ``count`` replicates
+    drawn from the generator ``rng``, shape (count, n).
 
-    Replicate b reads the raw outputs ``[b*n, (b+1)*n)`` of the PCG64
-    ``stream``, counted from its current position, and maps each to the row
-    ``floor(n * u)`` with ``u = (raw >> 11) * 2**-53``, the 53-bit uniform of
-    ``Generator.random``; so its row depends on the stream, b and n alone.
-    Each run of consecutive replicates is one ``advance`` and one
-    ``random_raw``. The stream is left where it was.
+    Each replicate takes the next n uniforms u of ``rng`` in turn and draws
+    the rows ``floor(n * u)``, so drawing a round in pieces gives the same
+    counts as drawing it at once.
     """
-    start = stream.state
-    raw, pos = [], 0
-    for run in np.split(replicates, np.flatnonzero(np.diff(replicates) != 1) + 1):
-        stream.advance(int(run[0]) * n - pos)
-        raw.append(stream.random_raw(run.size * n))
-        pos = (int(run[-1]) + 1) * n
-    stream.state = start
-    # each array is dropped once used: a chunk's draws fill the memory budget
-    k = np.concatenate(raw) >> np.uint64(11)
-    del raw
-    # k * (n * 2**-53) rounds exactly as n * u does: scaling by 2**-53 is exact
-    rows = (k * (n * 2.0**-53)).astype(np.intp).reshape(-1, n)
-    del k
-    rows += np.arange(len(rows))[:, None] * n  # one bincount for all replicates
+    rows = (n * rng.random((count, n))).astype(np.intp)
+    rows += np.arange(count)[:, None] * n  # one bincount for all replicates
     return np.bincount(rows.ravel(), minlength=rows.size).reshape(-1, n).astype(float)
 
 
@@ -504,11 +490,11 @@ def _bootstrap_max_stats(X, y, family, stat_design, center, n_boot, seed):
             raise RuntimeError(
                 "bootstrap exceeded the retry budget (10 * n_boot failed refits)"
             )
-        stream = substream(seed, attempt).bit_generator
+        rng = substream(seed, attempt)
         failed = []
         for start in range(0, pending.size, chunk):
             part = pending[start:start + chunk]
-            C = _resample_counts(stream, part, n)
+            C = _resample_counts(rng, part.size, n)
             stats, ok = _replicate_max_stats(X, y, family, C, stat_design, center)
             r_max[part[ok]] = stats[ok]
             failed.append(part[~ok])
@@ -550,6 +536,7 @@ def scb_mean_bootstrap(
     returned on the probability scale.
     """
     family = _canon_family(family)
+    _check_alpha(alpha)
     if grid.n_rows == 0:
         raise ValueError("grid must be nonempty")
     if n_boot < _MIN_N_BOOT:
@@ -587,6 +574,7 @@ def scb_coef_bootstrap(
     Binomial coefficients stay on the log-odds scale.
     """
     family = _canon_family(family)
+    _check_alpha(alpha)
     if n_boot < _MIN_N_BOOT:
         raise ValueError(f"n_boot must be at least {_MIN_N_BOOT}")
     fit, X, y = _fit(table, spec, family)

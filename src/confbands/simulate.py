@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functional, regression
-from .core import _expit, emit_json, substream
+from .core import _check_alpha, _expit, emit_json, substream
 
 __all__ = ["SimDesign", "CoverageReport", "generate", "run_coverage"]
 
@@ -205,8 +205,7 @@ def run_coverage(
         raise ValueError("replicates must be at least 1")
     if design.kind == "fosr" and method not in ("cma", "multiplier"):
         raise ValueError(f"unknown fosr method {method!r}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     min_boot = 1 if design.kind == "fosr" else regression._MIN_N_BOOT
     if n_boot is not None and n_boot < min_boot:
         raise ValueError(f"n_boot must be at least {min_boot} for the {design.kind} design, "

@@ -311,6 +311,7 @@ class TestScbGls:
         (lambda h: [h], "spatial header must be a JSON object"),
         (lambda h: {**h, "mask": [True] * 19}, "'mask'"),
         (lambda h: {**h, "shape": [30, 4, 5]}, "'shape'"),
+        (lambda h: {**h, "x": [0.0, 2.0, 1.0, 3.0, 4.0]}, "x must be strictly increasing"),
     ])
     def test_malformed_header_invalid_input(self, tmp_path, gls_files, capsys, mutate, named):
         # each of these used to exit as runtime_error or with a numpy
@@ -329,7 +330,8 @@ class TestScbGls:
         (["--w", "1,,0"], "--w must be comma-separated numbers, got '1,,0'"),
         (["--w", "inf,0"], "w must be finite"),
         (["--w", "1,0", "--correlation", "none", "--rho", "0.4"], "correlation kind 'none' takes no rho"),
-    ], ids=["w_empty_cell", "w_inf", "none_with_rho"])
+        (["--w", "1,0", "--alpha", "1.5"], "alpha must lie in (0, 1), got 1.5"),
+    ], ids=["w_empty_cell", "w_inf", "none_with_rho", "alpha_above_one"])
     def test_refused_option_invalid_input(self, tmp_path, gls_files, capsys, extra, named):
         hpath, dpath = gls_files
         code = run(["scb", "gls", "--data", hpath, "--design", dpath, "--nboot", 200, "--quiet",
@@ -352,6 +354,20 @@ class TestScbGls:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "invalid_input"
         assert err["message"] == "n_boot must be at least 1, got 0"
+
+    def test_unreadable_design_names_file(self, tmp_path, gls_files, capsys):
+        hpath, dpath = gls_files
+        dpath.write_text("a,b\n" + dpath.read_text())  # a header without --design-header 1
+        code = run(["scb", "gls", "--data", hpath, "--design", dpath, "--w", "1,0",
+                    "--nboot", 200, "--quiet", "--out", tmp_path / "gls.json"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "invalid_input"
+        assert err["message"].startswith(f"--design file {str(dpath)!r} must hold "
+                                         "comma-separated numbers: ")
+        code = run(["scb", "gls", "--data", hpath, "--design", dpath, "--design-header", 1,
+                    "--w", "1,0", "--nboot", 200, "--quiet", "--out", tmp_path / "gls.json"])
+        assert code == 0
 
     @pytest.mark.parametrize("correlation", [["ar1"], ["ar1", "--rho", "0.3"], ["none"]],
                              ids=["ar1_estimated", "ar1", "none"])

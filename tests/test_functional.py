@@ -345,7 +345,25 @@ class TestMultipliers:
             _multiplier_matrix("webb", (10,), substream(0))
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, float("nan")])
+@pytest.mark.parametrize("method", ["cma", "multiplier"])
+def test_alpha_refused_before_any_work(method, alpha):
+    # no fit and no data: a constructor that read either before checking
+    # alpha would fail with some other error
+    with pytest.raises(ValueError) as info:
+        if method == "cma":
+            scb_cma(None, alpha=alpha)
+        else:
+            scb_multiplier(None, None, alpha=alpha)
+    assert str(info.value) == f"alpha must lie in (0, 1), got {alpha}"
+
+
 class TestMultiplierBootstrap:
+    def test_rng_is_required(self, rng):
+        # every draw comes from a keyed stream; there is no unseeded fallback
+        with pytest.raises(TypeError, match="rng"):
+            multiplier_max_stats(rng.standard_normal((5, 3)), 10)
+
     def test_zero_residuals_zero_stats(self, rng):
         samples = np.zeros((10, 6))
         stats = multiplier_max_stats(samples, 100, rng=rng)
@@ -389,7 +407,7 @@ class TestMultiplierBootstrap:
     def test_zero_sd_against_nonzero_numerator_raises(self):
         # N = 2: multipliers (1, -1) give eps == 0 with a nonzero numerator
         with pytest.raises(ValueError, match="degenerate SE"):
-            multiplier_max_stats(np.array([[1.0], [3.0]]), 100, "rademacher", "t", substream(0))
+            multiplier_max_stats(np.array([[1.0], [3.0]]), 100, "rademacher", "t", rng=substream(0))
 
     def test_needs_two_subjects(self, rng):
         with pytest.raises(ValueError, match="at least 2"):
@@ -451,7 +469,7 @@ class TestBlockedMultiplier:
     @pytest.mark.parametrize("weights", ["rademacher", "gaussian", "mammen"])
     def test_matches_unblocked_reference(self, weights, sd_method):
         samples = substream(30).standard_normal((30, 3 * _SPOT_BLOCK + 17))
-        got = multiplier_max_stats(samples, 300, weights, sd_method, substream(31))
+        got = multiplier_max_stats(samples, 300, weights, sd_method, rng=substream(31))
         want = unblocked_multiplier_max(samples, 300, weights, sd_method, substream(31))
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
@@ -463,7 +481,7 @@ class TestBlockedMultiplier:
         runs = []
         for width in (1, 7, _SPOT_BLOCK):
             monkeypatch.setattr(functional, "_SPOT_BLOCK", width)
-            runs.append(multiplier_max_stats(samples, 200, weights, "t", substream(33)))
+            runs.append(multiplier_max_stats(samples, 200, weights, "t", rng=substream(33)))
         for other in runs[:-1]:
             np.testing.assert_allclose(other, runs[-1], rtol=1e-13, atol=0)
 

@@ -183,6 +183,17 @@ class TestScbGls:
         )
         np.testing.assert_allclose(f_id.beta, f_scaled.beta, atol=1e-10)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, float("nan")])
+    def test_alpha_refused_before_fit(self, monkeypatch, alpha):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit before alpha was checked")
+
+        monkeypatch.setattr(geospatial, "fit_gls_grid", no_fit)
+        data, X, _ = planted_field(nx=3, ny=2, n_obs=20, seed=9)
+        with pytest.raises(ValueError) as info:
+            scb_gls(data, X, [1.0, 0, 0, 0], alpha=alpha)
+        assert str(info.value) == f"alpha must lie in (0, 1), got {alpha}"
+
     def test_rho_estimated_when_absent(self):
         data, X, _ = planted_field(noise=0.5, rho=0.6, seed=6)
         band = scb_gls(data, X, [1.0, 0, 0, 0], CorrelationSpec("ar1"),
@@ -210,6 +221,18 @@ def test_planted_exceedance_containment():
 
 
 class TestRefusedInput:
+    @pytest.mark.parametrize("axis, coords, message", [
+        ("x", [0.0, 2.0, 1.0], "x must be strictly increasing"),
+        ("y", [1.0, 1.0], "y must be strictly increasing"),
+        ("x", [[0.0, 1.0, 2.0]], "x must be a nonempty 1-D sequence"),
+        ("y", [], "y must be a nonempty 1-D sequence"),
+    ], ids=["x_unsorted", "y_repeated", "x_2d", "y_empty"])
+    def test_grid_axes(self, axis, coords, message):
+        axes = {"x": np.arange(3.0), "y": np.arange(2.0), axis: coords}
+        with pytest.raises(ValueError) as info:
+            SpatialObservations(axes["x"], axes["y"], np.zeros((4, 3, 2)))
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("field, kind", [
         ("rho", "none"), ("rho", "explicit"), ("V", "none"), ("V", "ar1"),
         ("V", "comp_symm"), ("groups", "none"), ("groups", "explicit"),

@@ -363,6 +363,24 @@ class TestTable:
             build_design(t, parse_formula("y ~ x"))
 
 
+class TestAlphaRefused:
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, float("nan")])
+    @pytest.mark.parametrize("band", ["mean", "coef"])
+    def test_refused_before_fit(self, monkeypatch, band, alpha):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit before alpha was checked")
+
+        monkeypatch.setattr(regression, "_fit", no_fit)
+        t = Table.from_arrays(x=np.arange(10.0), y=np.arange(10.0))
+        spec = parse_formula("y ~ x")
+        with pytest.raises(ValueError) as info:
+            if band == "mean":
+                scb_mean_bootstrap(t, spec, t, alpha=alpha)
+            else:
+                scb_coef_bootstrap(t, spec, alpha=alpha)
+        assert str(info.value) == f"alpha must lie in (0, 1), got {alpha}"
+
+
 class TestBootstrapRedraw:
     def test_redraw_prone_design_still_deterministic(self, rng):
         # a covariate with two nonzero entries: many resamples are rank
@@ -449,7 +467,7 @@ class TestCountWeightedRefits:
             spec = parse_formula("y ~ x + I(x^2)")
         X, _, y = build_design(t, spec)
         n = len(y)
-        C = regression._resample_counts(substream(11, 0).bit_generator, np.arange(60), n)
+        C = regression._resample_counts(substream(11, 0), 60, n)
         idx = [np.repeat(np.arange(n), c.astype(int)) for c in C]
         if family == "gaussian":
             beta, cov, ok, _ = regression._ols_refit(X, y, C)
@@ -478,12 +496,13 @@ class TestCountWeightedRefits:
             )
 
         results = []
-        for budget in (8 * n, 8 * n * 64):  # chunks of 1 and of 64 replicates
+        for budget in (8 * n, 8 * n * 7, 8 * n * 64):  # chunks of 1, 7 and 64 replicates
             monkeypatch.setattr(regression, "_CHUNK_BYTES", budget)
             results.append(bands())
-        for one, many in zip(*results):
-            assert one.q_alpha == many.q_alpha
-            np.testing.assert_array_equal(one.scb_low, many.scb_low)
+        for one, *others in zip(*results):
+            for other in others:
+                assert one.q_alpha == other.q_alpha
+                np.testing.assert_array_equal(one.scb_low, other.scb_low)
 
     def test_large_n_memory_is_bounded(self):
         # gathering the resampled rows alone would take n_boot * n * p * 8
@@ -504,65 +523,58 @@ class TestCountWeightedRefits:
         assert peak < 256 * 2**20
 
 
-class FullStream:
-    """A stand-in PCG64 whose every raw output is 2**64 - 1, the largest."""
+class LargestUniform:
+    """A stand-in Generator whose every uniform is 1 - 2**-53, the largest
+    that ``Generator.random`` returns."""
 
-    state = None
-
-    def advance(self, delta):
-        pass
-
-    def random_raw(self, size):
-        return np.full(size, 2**64 - 1, dtype=np.uint64)
+    def random(self, shape):
+        return np.full(shape, 1.0 - 2.0**-53)
 
 
 class TestResampleCounts:
-    """Round ``attempt`` of a bootstrap draws from ``substream(seed, attempt)``,
-    and replicate b reads that stream's raw outputs [b*n, (b+1)*n)."""
+    """Round ``attempt`` of a bootstrap reads ``substream(seed, attempt)``
+    front to back, and each replicate takes the next n uniforms."""
 
-    def counts(self, replicates, n, seed=5, attempt=0):
-        stream = substream(seed, attempt).bit_generator
-        return regression._resample_counts(stream, np.asarray(replicates), n)
+    def counts(self, count, n, seed=5, attempt=0):
+        return regression._resample_counts(substream(seed, attempt), count, n)
 
     def test_rows_match_generator_random_at_offset(self):
         # replicate b's indices are floor(n * u) over Generator.random after
         # b * n draws of the round's stream
         n = 37
-        C = self.counts([0, 1, 2, 9, 40], n)
-        for row, b in zip(C, [0, 1, 2, 9, 40]):
+        C = self.counts(41, n)
+        for b in [0, 1, 2, 9, 40]:
             rng = substream(5, 0)
-            rng.bit_generator.advance(b * n)
+            rng.random(b * n)
             idx = np.floor(n * rng.random(n)).astype(int)
-            np.testing.assert_array_equal(row, np.bincount(idx, minlength=n))
+            np.testing.assert_array_equal(C[b], np.bincount(idx, minlength=n))
 
-    def test_row_independent_of_neighbours(self):
-        # drawn alone, inside a run, beside gaps or in a later call on the
-        # same stream, replicate 7 gets one row
+    def test_round_in_pieces_equals_round_at_once(self):
         n = 23
-        alone = self.counts([7], n)[0]
-        stream = substream(5, 0).bit_generator
-        for replicates, j in [(range(10), 7), ([1, 2, 7, 30, 31], 2), ([7, 8], 0),
-                              ([0, 3, 5, 7], 3), ([6, 7, 8, 20], 1)]:
-            C = regression._resample_counts(stream, np.asarray(replicates), n)
-            np.testing.assert_array_equal(C[j], alone)
+        at_once = self.counts(40, n)
+        for sizes in ([1] * 40, [7, 7, 7, 7, 7, 5], [13, 1, 26]):
+            rng = substream(5, 0)
+            pieces = [regression._resample_counts(rng, k, n) for k in sizes]
+            np.testing.assert_array_equal(np.concatenate(pieces), at_once)
 
     def test_rows_sum_to_n(self):
         for n in (1, 2, 3, 50, 1001):
-            C = self.counts(np.r_[0:40, 45, 60:64], n)
+            C = self.counts(45, n)
             assert C.shape == (45, n)
             assert np.all(C >= 0)
             np.testing.assert_array_equal(C.sum(axis=1), n)
 
     def test_attempts_draw_different_counts(self):
-        first, second = self.counts(range(20), 30, attempt=0), self.counts(range(20), 30, attempt=1)
+        first, second = self.counts(20, 30, attempt=0), self.counts(20, 30, attempt=1)
         assert not np.any(np.all(first == second, axis=1))
-        assert not np.array_equal(self.counts(range(20), 30, seed=6), first)
+        assert not np.array_equal(self.counts(20, 30, seed=6), first)
 
     @pytest.mark.parametrize("n", [2, 3, 2**7 - 1, 2**7, 2**7 + 1,
                                    2**20 - 1, 2**20, 2**20 + 1, 200_000])
     def test_largest_raw_output_maps_below_n(self, n):
-        # u = 1 - 2**-53 at raw = 2**64 - 1; n * u must not round up to n
-        C = regression._resample_counts(FullStream(), np.arange(2), n)
+        # the raw output 2**64 - 1 gives u = 1 - 2**-53; n * u must not round
+        # up to n
+        C = regression._resample_counts(LargestUniform(), 2, n)
         assert C.shape == (2, n)
         np.testing.assert_array_equal(C[:, -1], n)
 
@@ -574,8 +586,8 @@ class TestResampleCounts:
         drawn = []
         resample_counts = regression._resample_counts
 
-        def record(stream, replicates, n):
-            C = resample_counts(stream, replicates, n)
+        def record(rng, count, n):
+            C = resample_counts(rng, count, n)
             drawn[-1].append(C)
             return C
 
