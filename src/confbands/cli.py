@@ -103,7 +103,11 @@ def _load_spatial(header_path, mask_path=None):
         if cube_path.endswith(".npy"):
             cube = np.load(cube_path)
         else:
-            cube = np.loadtxt(cube_path, delimiter=",").ravel()
+            try:
+                cube = np.loadtxt(cube_path, delimiter=",").ravel()
+            except ValueError as exc:
+                raise ValueError(f"cube file {cube_path!r} must hold comma-separated numbers: "
+                                 f"{exc}") from None
     else:
         try:
             cube = np.array(_json_field(head, "values", "array", where), dtype=float)

@@ -271,12 +271,38 @@ def assemble_band(
 
 def _studentized_max(dev, se):
     """The studentized max rule shared by every band: maxima of |dev| / se
-    over the last axis, and a per-row flag set where a cell has se == 0
-    against a nonzero dev. A cell with se == 0 and dev == 0 contributes 0.
-    ``se`` broadcasts against ``dev``; an empty last axis gives 0."""
+    over the last axis of the rows of ``dev``, and a per-row flag set where
+    a cell has se == 0 against a nonzero dev. A cell with se == 0 and
+    dev == 0 contributes 0. ``se`` broadcasts against ``dev``; an empty
+    last axis gives 0.
+
+    Every row is first divided without a mask. A row whose maximum is
+    finite and whose se carries no sign bit has no se == 0 cell, so its
+    maximum is already the rule's. Only the other rows (an se == 0 cell, a
+    NaN, an overflow, or a negative se, since |dev| / -0.0 = -inf hides
+    under the maximum) go through ``_zero_se_rule``, so no result differs
+    from applying that rule to every row."""
+    shape = np.broadcast_shapes(np.shape(dev), np.shape(se))
+    ratio = np.abs(np.broadcast_to(dev, shape), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.divide(ratio, se, out=ratio)
+    stats = ratio.max(axis=-1, initial=0.0)
+    degenerate = np.zeros(stats.shape, dtype=bool)
+    redo = ~np.isfinite(stats) | np.signbit(np.atleast_1d(se)).any(axis=-1)
+    if redo.any():
+        stats[redo], degenerate[redo] = _zero_se_rule(
+            np.broadcast_to(dev, shape)[redo], np.broadcast_to(se, shape)[redo]
+        )
+    return stats, degenerate
+
+
+def _zero_se_rule(dev, se):
+    """The masked rule of ``_studentized_max``, its only caller, on (rows,
+    cells) arrays: a cell with se == 0 contributes 0, and flags its row
+    unless its dev is 0."""
     dev = np.abs(dev)
     zero = se == 0
-    ratio = np.zeros(np.broadcast_shapes(dev.shape, np.shape(se)))
+    ratio = np.zeros(dev.shape)
     np.divide(dev, se, out=ratio, where=~zero)
     return ratio.max(axis=-1, initial=0.0), np.any(zero & (dev != 0), axis=-1)
 

@@ -653,13 +653,21 @@ def multiplier_max_stats(
     g2 = None if weights == "rademacher" else g**2
     sd = flat.std(axis=0, ddof=1) if sd_method == "regular" else None
     maxima = np.zeros(n_boot)
+    buf = np.empty((n_boot, min(_SPOT_BLOCK, R.shape[1]))) if sd is None else None
     for start in range(0, R.shape[1], _SPOT_BLOCK):
         blk = slice(start, start + _SPOT_BLOCK)
         num = g @ R[:, blk]
         if sd is None:
             R2 = R[:, blk] ** 2
             m2 = R2.sum(axis=0) / N if g2 is None else (g2 @ R2) / N
-            eps = np.sqrt((N / (N - 1.0)) * np.abs(m2 - (num / N) ** 2))
+            # sqrt((N/(N-1)) * |m2 - (num/N)**2|), one operation at a time in one buffer
+            eps = buf[:, :num.shape[1]]
+            np.divide(num, N, out=eps)
+            np.square(eps, out=eps)
+            np.subtract(m2, eps, out=eps)
+            np.abs(eps, out=eps)
+            np.multiply(N / (N - 1.0), eps, out=eps)
+            np.sqrt(eps, out=eps)
         else:
             eps = sd[blk]
         num /= np.sqrt(N)

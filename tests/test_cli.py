@@ -326,6 +326,25 @@ class TestScbGls:
         assert err["error"] == "invalid_input"
         assert named in err["message"]
 
+    def test_csv_cube_with_header_row_invalid_input(self, tmp_path, rng, capsys):
+        # a header row used to surface as numpy's "could not convert string
+        # 'a' to float64", naming no file
+        n_obs, nx, ny = 10, 3, 2
+        cube = tmp_path / "cube.csv"
+        cube.write_text("a,b\n" + "\n".join(
+            ",".join(map(repr, row)) for row in rng.standard_normal((n_obs * nx, ny))) + "\n")
+        hpath = tmp_path / "spatial.json"
+        hpath.write_text(json.dumps({"x": [0.0, 1.0, 2.0], "y": [0.0, 1.0],
+                                     "shape": [n_obs, nx, ny], "cube": "cube.csv"}))
+        dpath = tmp_path / "design.csv"
+        dpath.write_text("\n".join(f"{i % 2}.0,1.0" for i in range(n_obs)) + "\n")
+        code = run(["scb", "gls", "--data", hpath, "--design", dpath, "--w", "1,0",
+                    "--nboot", 200, "--quiet", "--out", tmp_path / "gls.json"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "invalid_input"
+        assert str(cube) in err["message"] and "comma-separated numbers" in err["message"]
+
     @pytest.mark.parametrize("extra, named", [
         (["--w", "1,,0"], "--w must be comma-separated numbers, got '1,,0'"),
         (["--w", "inf,0"], "w must be finite"),

@@ -3,10 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from confbands import core
 from confbands.core import (
     Domain,
     _expit,
@@ -144,6 +145,42 @@ class TestAssembleBand:
         assert band_to_json(band_from_json(band_to_json(band))) == band_to_json(band)
 
 
+def _studentized_max_masked(dev, se):
+    """The masked studentized max applied to every row, kept here as the
+    reference for the row-wise fast path."""
+    dev = np.abs(dev)
+    zero = se == 0
+    ratio = np.zeros(np.broadcast_shapes(dev.shape, np.shape(se)))
+    np.divide(dev, se, out=ratio, where=~zero)
+    return ratio.max(axis=-1, initial=0.0), np.any(zero & (dev != 0), axis=-1)
+
+
+# zeros, NaN, cells whose ratio overflows or underflows, and (in se) -0.0
+# and negative values, whose ratio is -inf or negative under the maximum
+_DEV_CELLS = st.one_of(st.floats(-1e3, 1e3),
+                       st.sampled_from([0.0, -0.0, np.nan, 1e300, -1e308, 1e-300]))
+_SE_CELLS = st.one_of(st.floats(1e-3, 1e3),
+                      st.sampled_from([0.0, -0.0, np.nan, 1e-300, 5e-324, 1e300, -1.0]))
+
+
+# one case per row: se == 0 under zero and under nonzero dev, NaN dev, an
+# overflowing ratio, se = 1e-300 beside a NaN se, and -0.0 se
+_SPECIAL_CELLS = (
+    np.array([[0.0, 1.0, -2.0], [3.0, 0.0, 1.0], [np.nan, 1.0, 1.0],
+              [1e300, 1.0, 1.0], [1.0, 2.0, 3.0], [5.0, 0.0, 1.0]]),
+    np.array([[0.0, 1.0, 2.0], [0.0, 4.0, 1.0], [1.0, 1.0, 1.0],
+              [1e-300, 1.0, 1.0], [1e-300, 1.0, np.nan], [-0.0, 0.0, 1.0]]),
+)
+
+
+@st.composite
+def _dev_and_se(draw):
+    rows, cells = draw(st.integers(1, 5)), draw(st.integers(0, 6))
+    dev = draw(hnp.arrays(float, (rows, cells), elements=_DEV_CELLS))
+    se_shape = draw(st.sampled_from([(rows, cells), (cells,)]))
+    return dev, draw(hnp.arrays(float, se_shape, elements=_SE_CELLS))
+
+
 class TestStudentizedMax:
     def test_row_maxima_and_flags(self):
         dev = np.array([[1.0, -3.0, 0.0], [2.0, 0.0, 5.0], [0.0, 0.0, 0.0]])
@@ -162,6 +199,40 @@ class TestStudentizedMax:
         stats, degenerate = _studentized_max(np.zeros((3, 0)), np.zeros(0))
         np.testing.assert_array_equal(stats, np.zeros(3))
         assert not degenerate.any()
+
+    @settings(max_examples=400, deadline=None)
+    @given(_dev_and_se())
+    @example(_SPECIAL_CELLS)
+    @example((_SPECIAL_CELLS[0], np.array([0.0, 1e-300, 2.0])))
+    @example((_SPECIAL_CELLS[0], np.array([-0.0, 1.0, 1.0])))
+    def test_matches_masked_reference_bit_for_bit(self, case):
+        dev, se = case
+        with np.errstate(all="ignore"):
+            stats, degenerate = _studentized_max(dev, se)
+            want_stats, want_degenerate = _studentized_max_masked(dev, se)
+        assert np.array_equal(stats, want_stats, equal_nan=True)
+        assert stats.tobytes() == want_stats.tobytes()
+        np.testing.assert_array_equal(degenerate, want_degenerate)
+
+    def test_finite_rows_skip_the_masked_rule(self, monkeypatch):
+        seen = []
+
+        def spy(dev, se):
+            seen.append((dev.copy(), se.copy()))
+            return zero_se_rule(dev, se)
+
+        zero_se_rule = core._zero_se_rule
+        monkeypatch.setattr(core, "_zero_se_rule", spy)
+        dev = np.array([[1.0, -3.0], [2.0, 4.0], [1.0, 5.0], [np.nan, 1.0]])
+        se = np.array([[1.0, 2.0], [0.0, 1.0], [1.0, 4.0], [1.0, 1.0]])
+        stats, degenerate = _studentized_max(dev, se)
+        # rows 1 (se == 0 under a nonzero dev) and 3 (NaN) alone are recomputed
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0][0], dev[[1, 3]])
+        np.testing.assert_array_equal(seen[0][1], se[[1, 3]])
+        np.testing.assert_array_equal(stats, [1.5, 4.0, 1.25, np.nan])
+        np.testing.assert_array_equal(degenerate, [False, True, False, False])
+        assert stats.tobytes() == _studentized_max_masked(dev, se)[0].tobytes()
 
 
 def _expit_two_branch(x):

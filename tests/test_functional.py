@@ -461,6 +461,30 @@ def unblocked_multiplier_max(samples, n_boot, weights, sd_method, rng):
     return np.max(np.abs(num / np.sqrt(N)) / eps, axis=1)
 
 
+def blocked_multiplier_max(samples, n_boot, weights, sd_method, rng):
+    """The multiplier-t maxima over blocks of _SPOT_BLOCK spots, with eps as
+    one expression and the masked studentized max on every replicate."""
+    N = samples.shape[0]
+    flat = samples.reshape(N, -1)
+    R = flat - flat.mean(axis=0)
+    R *= np.sqrt(N / (N - 1.0))
+    g = _multiplier_matrix(weights, (n_boot, N), rng)
+    maxima = np.zeros(n_boot)
+    for start in range(0, R.shape[1], _SPOT_BLOCK):
+        Rb = R[:, start:start + _SPOT_BLOCK]
+        num = g @ Rb
+        if sd_method == "regular":
+            eps = flat.std(axis=0, ddof=1)[start:start + _SPOT_BLOCK]
+        else:
+            m2 = (Rb**2).sum(axis=0) / N if weights == "rademacher" else (g**2 @ Rb**2) / N
+            eps = np.sqrt((N / (N - 1.0)) * np.abs(m2 - (num / N) ** 2))
+        num /= np.sqrt(N)
+        ratio = np.zeros(num.shape)
+        np.divide(np.abs(num), eps, out=ratio, where=eps != 0)
+        maxima = np.maximum(maxima, ratio.max(axis=1, initial=0.0))
+    return maxima
+
+
 class TestBlockedMultiplier:
     """The reduction over fixed-width blocks of spots against the whole
     (n_boot, spots) computation, on spot counts that end in a partial block."""
@@ -472,6 +496,16 @@ class TestBlockedMultiplier:
         got = multiplier_max_stats(samples, 300, weights, sd_method, rng=substream(31))
         want = unblocked_multiplier_max(samples, 300, weights, sd_method, substream(31))
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("sd_method", ["t", "regular"])
+    @pytest.mark.parametrize("weights", ["rademacher", "gaussian", "mammen"])
+    def test_equals_blocked_reference_exactly(self, weights, sd_method):
+        # eps is built one operation at a time in a reused buffer and the
+        # studentized max divides without a mask; neither changes a bit
+        samples = substream(36).standard_normal((30, 3 * _SPOT_BLOCK + 17))
+        got = multiplier_max_stats(samples, 300, weights, sd_method, rng=substream(37))
+        want = blocked_multiplier_max(samples, 300, weights, sd_method, substream(37))
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("weights", ["rademacher", "gaussian", "mammen"])
     def test_width_never_changes_a_result(self, monkeypatch, weights):
