@@ -2,9 +2,11 @@
 and seeded RNG substreams.
 
 Every band produced by this package is an :class:`SCBand` over a :class:`Domain`.
-Bands are immutable after construction and reconstructible bit-for-bit from
-``(eta_hat, se, q_alpha, tau, link)``; :func:`assemble_band` is the only
-constructor other code should use.
+Bands and domains are immutable and checked once, when built: each keeps
+read-only copies of its arrays, so an object that exists has passed its
+checks, and ``SCBand.validate`` re-runs the same checks. A band is
+reconstructible bit-for-bit from ``(eta_hat, se, q_alpha, tau, link)``;
+:func:`assemble_band` is the only constructor other code should use.
 """
 
 from __future__ import annotations
@@ -50,13 +52,21 @@ def _axis(name: str, values) -> np.ndarray:
     return c
 
 
+def _frozen(values, dtype=float) -> np.ndarray:
+    """A read-only copy of ``values``, so the caller's array stays writeable."""
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class Domain:
     """Evaluation domain: a 1D grid, a 2D grid with optional mask, or labels.
 
     2D fields over the domain are arrays of shape
     ``(len(coords1), len(coords2))`` (coords1-major). ``mask`` marks included
-    cells (True = included); masked cells carry NaN in band fields.
+    cells (True = included); masked cells carry NaN in band fields. The
+    coordinates and the mask are kept as read-only copies.
     """
 
     kind: str
@@ -76,11 +86,11 @@ class Domain:
                 raise ValueError("labels must be unique")
         else:
             for name in ("coords1", "coords2") if self.kind == "grid2d" else ("coords1",):
-                object.__setattr__(self, name, _axis(name, getattr(self, name)))
+                object.__setattr__(self, name, _frozen(_axis(name, getattr(self, name))))
             if self.kind == "grid1d" and self.coords2 is not None:
                 raise ValueError("coords2 only valid for grid2d domains")
         if self.mask is not None:
-            m = np.asarray(self.mask, dtype=bool)
+            m = _frozen(self.mask, bool)
             if m.shape != self.shape:
                 raise ValueError(
                     f"mask shape {m.shape} does not match domain shape {self.shape}"
@@ -127,6 +137,9 @@ def _check_field(name: str, values, shape) -> np.ndarray:
     return arr
 
 
+_BAND_FIELDS = ("eta_hat", "se", "scb_low", "scb_up")
+
+
 @dataclass(frozen=True)
 class SCBand:
     """A simultaneous confidence band over a :class:`Domain`.
@@ -134,7 +147,8 @@ class SCBand:
     ``scb_low``/``scb_up`` are derived fields: for the identity link they
     equal ``eta_hat -/+ q_alpha * se / tau``; for the logit link the same
     arithmetic is applied on the log-odds scale and mapped back, so the band
-    brackets a probability. ``validate`` recomputes them and demands
+    brackets a probability. Construction keeps read-only copies of the four
+    fields and runs ``validate``, which recomputes the limits and demands
     bit-for-bit agreement.
     """
 
@@ -148,12 +162,17 @@ class SCBand:
     tau: float = 1.0
     link: str = "identity"
 
+    def __post_init__(self):
+        for name in _BAND_FIELDS:
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        self.validate()
+
     def validate(self) -> None:
+        """The band rules; construction runs them, so a built band passes."""
         shape = self.domain.shape
-        for name in ("eta_hat", "se", "scb_low", "scb_up"):
+        for name in _BAND_FIELDS:
             _check_field(name, getattr(self, name), shape)
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (0, 1)")
+        _check_alpha(self.alpha)
         if self.q_alpha < 0:
             raise ValueError("q_alpha must be nonnegative")
         if self.tau <= 0:
@@ -241,20 +260,14 @@ def assemble_band(
     inputs are on the probability scale with ``se`` on the log-odds scale,
     and the band is the inverse-logit image of the log-odds band.
     """
-    shape = domain.shape
-    eta_hat = _check_field("eta_hat", eta_hat, shape).copy()
-    se = _check_field("se", se, shape).copy()
     m = domain.mask_array()
-    if np.any(se[m] < 0):
-        raise ValueError("se must be nonnegative")
+    eta_hat = np.where(m, _check_field("eta_hat", eta_hat, domain.shape), np.nan)
+    se = np.where(m, _check_field("se", se, domain.shape), np.nan)
+    # q / tau would raise ZeroDivisionError before the band could refuse it
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if q < 0:
-        raise ValueError("q must be nonnegative")
-    eta_hat[~m] = np.nan
-    se[~m] = np.nan
     low, up = _band_limits(eta_hat, se, float(q), float(tau), link)
-    band = SCBand(
+    return SCBand(
         domain=domain,
         eta_hat=eta_hat,
         se=se,
@@ -265,8 +278,6 @@ def assemble_band(
         tau=float(tau),
         link=link,
     )
-    band.validate()
-    return band
 
 
 def _studentized_max(dev, se):
@@ -439,7 +450,6 @@ def _domain_from_dict(d) -> Domain:
 
 def band_to_json(band: SCBand) -> str:
     """Serialize a band to its canonical JSON string (2D fields row-major)."""
-    band.validate()
     doc = {
         "domain": _domain_to_dict(band.domain),
         "shape": list(band.domain.shape),
@@ -456,7 +466,7 @@ def band_to_json(band: SCBand) -> str:
 
 
 def band_from_json(text: str) -> SCBand:
-    """Parse a band file and check its reconstruction invariant."""
+    """Parse a band file; building the band checks its invariants."""
     doc = _json_loads(text)
     domain = _domain_from_dict(_json_field(doc, "domain", "object", "band"))
     shape = tuple(_json_field(doc, "shape", "array", "band"))
@@ -467,7 +477,7 @@ def band_from_json(text: str) -> SCBand:
         values = _json_floats(doc.get(name), f"band field {name!r}", domain.size)
         return values.reshape(domain.shape)
 
-    band = SCBand(
+    return SCBand(
         domain=domain,
         eta_hat=load_field("eta_hat"),
         se=load_field("se"),
@@ -478,5 +488,3 @@ def band_from_json(text: str) -> SCBand:
         tau=float(_json_field(doc, "tau", "number", "band", default=1.0)),
         link=_json_field(doc, "link", "string", "band", default="identity"),
     )
-    band.validate()
-    return band

@@ -32,6 +32,7 @@ from scipy.interpolate import BSpline
 from .core import (
     Domain,
     SCBand,
+    _axis,
     _check_alpha,
     _studentized_max,
     assemble_band,
@@ -87,11 +88,7 @@ class FunctionalDataset:
     covariates: dict
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size == 0:
-            raise ValueError("times must be a nonempty 1-D grid")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
-            raise ValueError("times must be strictly increasing")
+        t = _axis("times", self.times)
         Y = np.asarray(self.outcomes, dtype=float)
         if Y.shape != (len(self.ids), t.size):
             raise ValueError(f"outcomes must have shape (n_subjects, {t.size})")

@@ -354,7 +354,6 @@ def _render_2d(band: SCBand, spec: PlotSpec, levels) -> str:
 
 def render_band_svg(band: SCBand, spec: PlotSpec, levels=None) -> str:
     """Render one SVG panel with all requested levels."""
-    band.validate()
     levels = spec.levels if levels is None else levels
     if band.domain.kind == "grid2d":
         return _render_2d(band, spec, levels)

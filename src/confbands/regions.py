@@ -36,7 +36,8 @@ _SET_TYPES = ("upper", "lower", "two_sided", "interval")
 @dataclass(frozen=True)
 class ThresholdSpec:
     """Threshold list for one inversion: plain levels, or (low, up) pairs
-    for interval sets. Level order is preserved; no de-duplication."""
+    for interval sets. Level order is preserved; no de-duplication. This is
+    the one threshold rule: every ``invert_*`` checks its levels here."""
 
     set_type: str
     levels: tuple
@@ -46,22 +47,15 @@ class ThresholdSpec:
             raise ValueError(f"unknown set_type {self.set_type!r}")
         if len(self.levels) == 0:
             raise ValueError("levels must be nonempty")
-        norm = []
-        for lv in self.levels:
-            if self.set_type == "interval":
-                a, b = lv
-                a, b = float(a), float(b)
-                if not (np.isfinite(a) and np.isfinite(b)):
-                    raise ValueError("interval endpoints must be finite")
-                if a > b:
-                    raise ValueError("empty interval")
-                norm.append((a, b))
-            else:
-                c = float(lv)
-                if not np.isfinite(c):
-                    raise ValueError("levels must be finite")
-                norm.append(c)
-        object.__setattr__(self, "levels", tuple(norm))
+        if self.set_type == "interval":
+            levels = tuple((float(a), float(b)) for a, b in self.levels)
+        else:
+            levels = tuple(float(c) for c in self.levels)
+        if not np.all(np.isfinite(levels)):
+            raise ValueError("threshold must be finite")
+        if self.set_type == "interval" and any(a > b for a, b in levels):
+            raise ValueError("empty interval")
+        object.__setattr__(self, "levels", levels)
 
 
 @dataclass(frozen=True)
@@ -112,19 +106,12 @@ def _invert(band: SCBand, set_type: str, level) -> RegionSet:
     return RegionSet(set_type, level, inner, outer, est)
 
 
-def _threshold(c) -> float:
-    c = float(c)
-    if not np.isfinite(c):
-        raise ValueError("threshold must be finite")
-    return c
-
-
 def invert_upper(band: SCBand, c: float) -> RegionSet:
     """Regions for the upper excursion set {s: eta(s) >= c}.
 
     inner = {scb_low >= c}, outer = {scb_up >= c}, estimate = {eta_hat >= c}.
     """
-    return _invert(band, "upper", _threshold(c))
+    return _invert(band, "upper", ThresholdSpec("upper", (c,)).levels[0])
 
 
 def invert_lower(band: SCBand, c: float) -> RegionSet:
@@ -132,7 +119,7 @@ def invert_lower(band: SCBand, c: float) -> RegionSet:
 
     inner = {scb_up <= c}, outer = {scb_low <= c}, estimate = {eta_hat <= c}.
     """
-    return _invert(band, "lower", _threshold(c))
+    return _invert(band, "lower", ThresholdSpec("lower", (c,)).levels[0])
 
 
 def invert_interval(band: SCBand, a: float, b: float) -> RegionSet:
@@ -141,10 +128,7 @@ def invert_interval(band: SCBand, a: float, b: float) -> RegionSet:
     inner = {scb_low >= a} & {scb_up <= b};
     outer = {scb_up >= a} & {scb_low <= b}.
     """
-    a, b = _threshold(a), _threshold(b)
-    if a > b:
-        raise ValueError("empty interval")
-    return _invert(band, "interval", (a, b))
+    return _invert(band, "interval", ThresholdSpec("interval", ((a, b),)).levels[0])
 
 
 def invert_two_sided(band: SCBand, c: float) -> tuple[RegionSet, RegionSet]:

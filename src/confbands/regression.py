@@ -539,8 +539,10 @@ def scb_mean_bootstrap(
     _check_alpha(alpha)
     if grid.n_rows == 0:
         raise ValueError("grid must be nonempty")
+    if grid_boot is not None and grid_boot.n_rows == 0:
+        raise ValueError("grid_boot must be nonempty")
     if n_boot < _MIN_N_BOOT:
-        raise ValueError(f"n_boot must be at least {_MIN_N_BOOT}")
+        raise ValueError(f"n_boot must be at least {_MIN_N_BOOT}, got {n_boot}")
     fit, X, y = _fit(table, spec, family)
     eta, se = predict_mean(fit, grid)
     G_boot = _design(fit.spec.terms, grid_boot if grid_boot is not None else grid, "grid")
@@ -576,7 +578,7 @@ def scb_coef_bootstrap(
     family = _canon_family(family)
     _check_alpha(alpha)
     if n_boot < _MIN_N_BOOT:
-        raise ValueError(f"n_boot must be at least {_MIN_N_BOOT}")
+        raise ValueError(f"n_boot must be at least {_MIN_N_BOOT}, got {n_boot}")
     fit, X, y = _fit(table, spec, family)
     p = len(fit.beta)
     se = np.sqrt(np.maximum(np.diag(fit.cov_beta), 0.0))

@@ -93,6 +93,17 @@ class TestScbLinear:
         assert err["error"] == "invalid_input"
         assert "response 'y'" in err["message"]
 
+    def test_header_only_grid_boot_invalid_input(self, tmp_path, regression_files, capsys):
+        data, grid = regression_files
+        boot = tmp_path / "boot.csv"
+        boot.write_text("x1,x2\n")
+        code = run(["scb", "linear", "--data", data, "--model", "y ~ x1", "--grid", grid,
+                    "--grid-boot", boot, "--nboot", 150, "--quiet"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "invalid_input"
+        assert err["message"] == "grid_boot must be nonempty"
+
     def test_missing_file_error_json(self, tmp_path, capsys):
         code = run(["scb", "linear", "--data", tmp_path / "nope.csv",
                     "--model", "y ~ x", "--grid", tmp_path / "nope.csv", "--quiet"])

@@ -271,6 +271,31 @@ class TestDomain:
             Domain.grid2d([0.0, 1], [0.0, 1], mask=np.zeros((2, 2), bool))
 
 
+class TestImmutable:
+    """Bands and domains keep read-only copies: every object that exists has
+    passed its checks, and a caller's arrays are neither frozen nor shared."""
+
+    def test_band_and_domain_arrays_read_only(self, rng):
+        band = random_band(rng, "grid2d", masked=True)
+        d = Domain.grid2d(np.arange(3.0), np.arange(2.0), mask=np.ones((3, 2), bool))
+        for arr in (band.scb_low, band.se, d.coords1, d.mask):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+    def test_caller_arrays_stay_writeable_and_unshared(self, rng):
+        t, x, y = np.arange(4.0), np.arange(3.0), np.arange(2.0)
+        mask = np.array([[True, False], [True, True], [True, True]])
+        eta, se = rng.standard_normal(4), rng.uniform(0.5, 1.0, 4)
+        line, grid = Domain.grid1d(t), Domain.grid2d(x, y, mask=mask)
+        band = assemble_band(eta, se, 2.0, 1.0, 0.05, line)
+        text = band_to_json(band)
+        for arr in (t, x, y, mask, eta, se):
+            arr[0] = arr[1]
+        assert band_to_json(band) == text
+        assert line.coords1[0] == 0.0 and grid.coords1[0] == 0.0 and grid.coords2[0] == 0.0
+        assert not grid.mask[0, 1]
+
+
 class TestBandJson:
     def test_round_trip_identity(self, rng):
         for kind in ("grid1d", "grid2d", "discrete"):

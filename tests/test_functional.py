@@ -41,6 +41,18 @@ def make_dataset(rng, n=20, T=40, beta1=None, noise=0.0, subject_fns=None):
     return FunctionalDataset(tuple(range(n)), t, Y, {"x": x})
 
 
+@pytest.mark.parametrize("times, message", [
+    ([[0.0, 1.0]], "times must be a nonempty 1-D sequence"),
+    ([], "times must be a nonempty 1-D sequence"),
+    ([0.0, 1.0, 1.0], "times must be strictly increasing"),
+])
+def test_times_checked_as_an_axis(times, message):
+    Y = np.zeros((1, np.size(times)))
+    with pytest.raises(ValueError) as info:
+        FunctionalDataset((0,), times, Y, {})
+    assert str(info.value) == message
+
+
 class TestBasis:
     def test_partition_of_unity(self):
         t = np.linspace(0, 1, 50)

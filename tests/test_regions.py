@@ -241,8 +241,10 @@ class TestThresholdSpec:
             ThresholdSpec("upper", ())
 
     def test_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            ThresholdSpec("upper", (np.inf,))
+        # the one threshold rule, also behind invert_upper/lower/interval
+        for set_type, level in [("upper", np.inf), ("lower", np.nan), ("interval", (0.0, np.inf))]:
+            with pytest.raises(ValueError, match="^threshold must be finite$"):
+                ThresholdSpec(set_type, (level,))
 
 
 class TestRegionJson:

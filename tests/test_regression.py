@@ -381,6 +381,34 @@ class TestAlphaRefused:
         assert str(info.value) == f"alpha must lie in (0, 1), got {alpha}"
 
 
+class TestRefusedBeforeFit:
+    @pytest.fixture(autouse=True)
+    def no_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit before the input was checked")
+
+        monkeypatch.setattr(regression, "_fit", no_fit)
+
+    @pytest.mark.parametrize("band", ["mean", "coef"])
+    def test_n_boot_floor(self, band):
+        t = Table.from_arrays(x=np.arange(10.0), y=np.arange(10.0))
+        spec = parse_formula("y ~ x")
+        with pytest.raises(ValueError) as info:
+            if band == "mean":
+                scb_mean_bootstrap(t, spec, t, n_boot=99)
+            else:
+                scb_coef_bootstrap(t, spec, n_boot=99)
+        assert str(info.value) == "n_boot must be at least 100, got 99"
+
+    def test_empty_grid_boot(self):
+        # an empty grid_boot used to give q_alpha = 0 and a zero-width band
+        t = Table.from_arrays(x=np.arange(10.0), y=np.arange(10.0))
+        with pytest.raises(ValueError) as info:
+            scb_mean_bootstrap(t, parse_formula("y ~ x"), t,
+                               grid_boot=Table.from_arrays(x=np.zeros(0)))
+        assert str(info.value) == "grid_boot must be nonempty"
+
+
 class TestBootstrapRedraw:
     def test_redraw_prone_design_still_deterministic(self, rng):
         # a covariate with two nonzero entries: many resamples are rank
