@@ -192,7 +192,7 @@ def _cmd_scb_gls(args):
         raise ValueError(f"--w must be comma-separated numbers, got {args.w!r}") from None
     kind = {"ar1": "ar1", "compsymm": "comp_symm", "none": "none"}[args.correlation]
     corr = geospatial.CorrelationSpec(kind, rho=args.rho)
-    _progress(args, f"fitting GLS at {int(data.mask_array().sum())} spots")
+    _progress(args, f"fitting GLS at {int(data.domain.mask_array().sum())} spots")
     band = geospatial.scb_gls(
         data, design, w, corr, n_boot=args.nboot, alpha=args.alpha, seed=args.seed
     )

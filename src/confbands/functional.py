@@ -34,6 +34,7 @@ from .core import (
     SCBand,
     _axis,
     _check_alpha,
+    _frozen,
     _studentized_max,
     assemble_band,
     empirical_quantile,
@@ -80,6 +81,7 @@ class FunctionalDataset:
     """Functional outcomes on a shared time grid with scalar covariates.
 
     ``outcomes`` is (n_subjects, n_times) with NaN marking missing cells.
+    Times, outcomes and covariates are kept as read-only copies.
     """
 
     ids: tuple
@@ -88,13 +90,13 @@ class FunctionalDataset:
     covariates: dict
 
     def __post_init__(self):
-        t = _axis("times", self.times)
-        Y = np.asarray(self.outcomes, dtype=float)
+        t = _frozen(_axis("times", self.times))
+        Y = _frozen(self.outcomes)
         if Y.shape != (len(self.ids), t.size):
             raise ValueError(f"outcomes must have shape (n_subjects, {t.size})")
         if np.any(np.all(np.isnan(Y), axis=1)):
             raise ValueError("every subject needs at least one observed time point")
-        cov = {k: np.asarray(v, dtype=float) for k, v in self.covariates.items()}
+        cov = {k: _frozen(v) for k, v in self.covariates.items()}
         for name, v in cov.items():
             if v.shape != (len(self.ids),):
                 raise ValueError(f"covariate {name!r} must have one value per subject")

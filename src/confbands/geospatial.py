@@ -15,13 +15,14 @@ observation shared across spots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .core import (
-    Domain, SCBand, _axis, _check_alpha, assemble_band, empirical_quantile, substream,
+    Domain, SCBand, _axis, _check_alpha, _frozen, assemble_band, empirical_quantile,
+    substream,
 )
 from .functional import multiplier_max_stats
 
@@ -36,43 +37,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpatialObservations:
-    """Repeated observations on a 2D grid: value cube of shape
-    (n_obs, n_x, n_y) plus an optional inclusion mask over (n_x, n_y)."""
+    """Repeated observations on a 2D grid: a read-only value cube of shape
+    (n_obs, n_x, n_y) over ``domain``, the grid and optional inclusion mask
+    that the band gets; ``x``, ``y`` and ``mask`` are the domain's arrays."""
 
     x: np.ndarray
     y: np.ndarray
     values: np.ndarray
     mask: np.ndarray | None = None
+    domain: Domain = field(init=False)
 
     def __post_init__(self):
-        x, y = _axis("x", self.x), _axis("y", self.y)
-        Z = np.asarray(self.values, dtype=float)
-        if Z.ndim != 3 or Z.shape[1] != x.size or Z.shape[2] != y.size:
-            raise ValueError(
-                f"values must have shape (n_obs, {x.size}, {y.size}), got {Z.shape}"
-            )
-        m = self.mask
-        if m is not None:
-            m = np.asarray(m, dtype=bool)
-            if m.shape != (x.size, y.size):
-                raise ValueError("mask shape must match the grid")
-            if not m.any():
-                raise ValueError("mask excludes every spot")
-        if not np.all(np.isfinite(Z[:, m] if m is not None else Z)):
+        domain = Domain.grid2d(_axis("x", self.x), _axis("y", self.y), self.mask)
+        Z, (nx, ny) = _frozen(self.values), domain.shape
+        if Z.ndim != 3 or Z.shape[1:] != (nx, ny):
+            raise ValueError(f"values must have shape (n_obs, {nx}, {ny}), got {Z.shape}")
+        if not np.all(np.isfinite(Z[:, domain.mask_array()])):
             raise ValueError("non-finite values at unmasked spots")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "x", domain.coords1)
+        object.__setattr__(self, "y", domain.coords2)
         object.__setattr__(self, "values", Z)
-        object.__setattr__(self, "mask", m)
+        object.__setattr__(self, "mask", domain.mask)
 
     @property
     def n_obs(self) -> int:
         return self.values.shape[0]
-
-    def mask_array(self) -> np.ndarray:
-        if self.mask is None:
-            return np.ones((self.x.size, self.y.size), dtype=bool)
-        return self.mask
 
 
 @dataclass(frozen=True)
@@ -92,10 +82,10 @@ class CorrelationSpec:
     def __post_init__(self):
         if self.kind not in ("ar1", "comp_symm", "explicit", "none"):
             raise ValueError(f"unknown correlation kind {self.kind!r}")
-        for field, kinds in (("rho", ("ar1", "comp_symm")), ("V", ("explicit",)),
-                             ("groups", ("ar1", "comp_symm"))):
-            if getattr(self, field) is not None and self.kind not in kinds:
-                raise ValueError(f"correlation kind {self.kind!r} takes no {field}")
+        for name, kinds in (("rho", ("ar1", "comp_symm")), ("V", ("explicit",)),
+                            ("groups", ("ar1", "comp_symm"))):
+            if getattr(self, name) is not None and self.kind not in kinds:
+                raise ValueError(f"correlation kind {self.kind!r} takes no {name}")
         if self.kind == "explicit" and self.V is None:
             raise ValueError("explicit correlation needs V")
         if self.rho is not None and not (-1.0 < self.rho < 1.0):
@@ -236,10 +226,8 @@ def fit_gls_grid(
     if n <= p:
         raise ValueError("need more observations than design columns")
     corr = corr or CorrelationSpec("none")
-    mask = data.mask_array()
+    mask = data.domain.mask_array()
     spots = np.argwhere(mask)
-    if spots.size == 0:
-        raise ValueError("all spots are masked")
     Z = data.values[:, mask]  # (n, n_spots), spots in the order of ``spots``
 
     def fail(bad, reason):  # one "(x, y): reason" entry per flagged spot; one flag may stand for all
@@ -304,6 +292,4 @@ def scb_gls(
     rng = substream(seed)
     maxima = multiplier_max_stats(contrib, n_boot, rng=rng)
     q = empirical_quantile(maxima, 1.0 - alpha)
-    mask = data.mask_array()
-    domain = Domain.grid2d(data.x, data.y, mask=None if data.mask is None else mask)
-    return assemble_band(fit.eta, fit.se, q, 1.0, alpha, domain)
+    return assemble_band(fit.eta, fit.se, q, 1.0, alpha, data.domain)

@@ -11,7 +11,8 @@ float formatting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,7 +42,8 @@ ESTIMATE_2D_COLOR = "#2ca02c"  # green
 
 @dataclass(frozen=True)
 class PlotSpec:
-    """Rendering options for band/contour plots."""
+    """Rendering options for band/contour plots. ``levels`` are checked by,
+    and kept as, a :class:`regions.ThresholdSpec`'s."""
 
     levels: tuple
     set_type: str = "upper"
@@ -54,8 +56,6 @@ class PlotSpec:
     label_color: str = "black"
 
     def __post_init__(self):
-        if len(self.levels) == 0:
-            raise ValueError("levels must be nonempty")
         if self.min_size < 0:
             raise ValueError("min_size must be nonnegative")
         if self.set_type not in ("upper", "lower"):
@@ -63,9 +63,7 @@ class PlotSpec:
         if self.palette not in PALETTES:
             raise ValueError(f"unknown palette {self.palette!r}; "
                              f"choose one of {sorted(PALETTES)}")
-        object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
-        if not np.all(np.isfinite(self.levels)):
-            raise ValueError("levels must be finite")
+        object.__setattr__(self, "levels", regions.ThresholdSpec(self.set_type, self.levels).levels)
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +254,12 @@ def _segments_from_bools(include):
     return list(zip(change[::2].tolist(), (change[1::2] - 1).tolist()))
 
 
-def _render_1d(band: SCBand, spec: PlotSpec, levels) -> str:
+def _render_1d(band: SCBand, spec: PlotSpec) -> str:
     x = band.domain.coords1
     if band.domain.kind == "discrete":
         x = np.arange(len(band.domain.labels), dtype=float)
     w, h = _WIDTH, _HEIGHT
-    finite = np.concatenate([band.scb_low, band.scb_up, np.asarray(levels, dtype=float)])
+    finite = np.concatenate([band.scb_low, band.scb_up, np.asarray(spec.levels)])
     finite = finite[np.isfinite(finite)]
     ylo, yhi = float(finite.min()), float(finite.max())
     pad = 0.05 * (yhi - ylo if yhi > ylo else 1.0)
@@ -280,10 +278,8 @@ def _render_1d(band: SCBand, spec: PlotSpec, levels) -> str:
             [(sx(xi), sy(v)) for xi, v in zip(xs, band.eta_hat[a:b + 1])],
             "#000000", 1.8,
         )
-    invert = regions.invert_upper if spec.set_type == "upper" else regions.invert_lower
-    for level in levels:
-        r = invert(band, level)
-        ylevel = sy(level)
+    for r in regions.invert_levels(band, regions.ThresholdSpec(spec.set_type, spec.levels)):
+        ylevel = sy(r.level)
         layers = (
             (r.outer, OUTER_COLOR),
             (r.estimate, ESTIMATE_1D_COLOR),
@@ -293,14 +289,14 @@ def _render_1d(band: SCBand, spec: PlotSpec, levels) -> str:
             for a, b in _segments_from_bools(include):
                 svg.line(sx(x[a]), ylevel, sx(x[b]), ylevel, color)
         if spec.level_label:
-            svg.text(w - _MARGIN / 4, ylevel - 3, f"{level:g}",
+            svg.text(w - _MARGIN / 4, ylevel - 3, f"{r.level:g}",
                      fill=spec.label_color, anchor="end")
     svg.text(w / 2, h - 10, spec.xlab or "", anchor="middle")
     svg.text(14, h / 2, spec.ylab or "", anchor="middle")
     return svg.tostring()
 
 
-def _render_2d(band: SCBand, spec: PlotSpec, levels) -> str:
+def _render_2d(band: SCBand, spec: PlotSpec) -> str:
     if band.domain.kind != "grid2d":
         raise ValueError("2D plots need a grid2d domain")
     x1 = band.domain.coords1
@@ -337,7 +333,7 @@ def _render_2d(band: SCBand, spec: PlotSpec, levels) -> str:
     outer, inner = band.scb_up, band.scb_low
     if spec.set_type == "lower":
         outer, inner = inner, outer
-    for level in levels:
+    for level in spec.levels:
         lines = [contour_lines(f, level) for f in (outer, band.eta_hat, inner)]
         for group, color in zip(lines, (OUTER_COLOR, ESTIMATE_2D_COLOR, INNER_COLOR)):
             for pts in group:
@@ -352,29 +348,27 @@ def _render_2d(band: SCBand, spec: PlotSpec, levels) -> str:
     return svg.tostring()
 
 
-def render_band_svg(band: SCBand, spec: PlotSpec, levels=None) -> str:
-    """Render one SVG panel with all requested levels."""
-    levels = spec.levels if levels is None else levels
+def render_band_svg(band: SCBand, spec: PlotSpec) -> str:
+    """Render one SVG panel with all of ``spec.levels``."""
     if band.domain.kind == "grid2d":
-        return _render_2d(band, spec, levels)
-    return _render_1d(band, spec, levels)
+        return _render_2d(band, spec)
+    return _render_1d(band, spec)
 
 
 def render_band_files(band: SCBand, spec: PlotSpec, out_path: str) -> list[str]:
     """Write the plot to disk: one file when ``together``, else one file per
-    level suffixed ``_L<k>``. Returns the paths written."""
+    level suffixed ``_L<k>`` before the extension (``.svg`` when there is
+    none). Returns the paths written."""
     paths = []
     if spec.together:
         with open(out_path, "w") as fh:
             fh.write(render_band_svg(band, spec))
         paths.append(out_path)
         return paths
-    stem, dot, suffix = out_path.rpartition(".")
-    if not dot:
-        stem, suffix = out_path, "svg"
+    stem, ext = os.path.splitext(out_path)
     for k, level in enumerate(spec.levels, start=1):
-        path = f"{stem}_L{k}.{suffix}"
+        path = f"{stem}_L{k}{ext or '.svg'}"
         with open(path, "w") as fh:
-            fh.write(render_band_svg(band, spec, levels=(level,)))
+            fh.write(render_band_svg(band, replace(spec, levels=(level,))))
         paths.append(path)
     return paths

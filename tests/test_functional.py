@@ -794,6 +794,21 @@ class TestSubsetSpec:
 
 
 class TestDataset:
+    def test_arrays_read_only_and_unshared(self, rng):
+        # a subject emptied by the caller after construction used to reach
+        # fit_fosr, though the constructor refuses such a subject
+        t, Y, x = np.linspace(0.0, 1.0, 12), rng.standard_normal((12, 12)), np.arange(12.0)
+        data = FunctionalDataset(tuple(range(12)), t, Y, {"x": x})
+        for arr in (data.times, data.outcomes, data.covariates["x"]):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        before = (data.times.copy(), data.outcomes.copy(), data.covariates["x"].copy())
+        Y[3, :] = np.nan
+        t[0], x[0] = -1.0, 9.0
+        for got, want in zip((data.times, data.outcomes, data.covariates["x"]), before):
+            np.testing.assert_array_equal(got, want)
+        assert np.isfinite(fit_fosr(data, k_basis=6).contributions).all()
+
     def test_from_long_pivots(self):
         ids = ["a", "a", "b", "b"]
         times = [0.0, 1.0, 0.0, 1.0]

@@ -164,8 +164,29 @@ class TestScbGls:
         assert np.isfinite(band.eta_hat[1:][mask[1:]]).all()
 
     def test_all_masked_errors(self):
-        with pytest.raises(ValueError, match="excludes every spot"):
+        with pytest.raises(ValueError) as info:
             planted_field(mask=np.zeros((8, 6), dtype=bool))
+        assert str(info.value) == "mask excludes every cell"
+
+    def test_arrays_read_only_and_unshared(self):
+        # the caller's arrays stay writeable; zeroing the caller's mask once
+        # reached fit_gls_grid with no spot left
+        x, y, mask = np.arange(3.0), np.arange(2.0), np.ones((3, 2), dtype=bool)
+        values = substream(0).standard_normal((5, 3, 2))
+        data = SpatialObservations(x, y, values, mask)
+        assert data.domain.mask is data.mask and data.domain.coords1 is data.x
+        for arr in (data.x, data.y, data.values, data.mask):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        before = data.values.copy()
+        for arr in (x, y, values, mask):
+            arr[...] = 0
+        np.testing.assert_array_equal(data.values, before)
+        np.testing.assert_array_equal(data.x, [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(data.y, [0.0, 1.0])
+        assert data.mask.all()
+        fit, _ = fit_gls_grid(data, np.ones((5, 1)), [1.0])
+        assert np.isfinite(fit.eta).all()
 
     def test_seed_determinism(self):
         data, X, _ = planted_field(noise=0.4, seed=4)

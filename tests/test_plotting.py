@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from confbands import plotting
+from confbands import plotting, regions
 from confbands.core import Domain, assemble_band
 from confbands.plotting import (
     PALETTES,
@@ -340,6 +340,27 @@ class TestSvgRendering:
         for p in paths:
             assert (tmp_path / p.split("/")[-1]).exists()
 
+    @pytest.mark.parametrize("out, written", [
+        ("plot.svg", ["plot_L1.svg", "plot_L2.svg"]),
+        ("fig", ["fig_L1.svg", "fig_L2.svg"]),
+        ("./fig", ["./fig_L1.svg", "./fig_L2.svg"]),
+        ("run.v1/fig", ["run.v1/fig_L1.svg", "run.v1/fig_L2.svg"]),
+        ("run.v1/fig.svg", ["run.v1/fig_L1.svg", "run.v1/fig_L2.svg"]),
+    ])
+    def test_per_level_paths(self, tmp_path, monkeypatch, rng, out, written):
+        # the suffix used to go after the last dot of the whole path, so a
+        # dotted directory or an extension-less name under one gave a path
+        # in a directory that does not exist
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.v1").mkdir()
+        band = random_band(rng, "grid1d", max_len=20)
+        spec = PlotSpec(levels=(-0.3, 0.3), together=False)
+        paths = render_band_files(band, spec, out)
+        assert paths == written
+        for path, level in zip(paths, spec.levels):
+            with open(path) as fh:
+                assert fh.read() == render_band_svg(band, PlotSpec(levels=(level,)))
+
     def test_full_width_inner_segment(self):
         # constant band strictly above the level: inner covers the whole axis
         d = Domain.grid1d(np.linspace(0, 1, 12))
@@ -353,7 +374,7 @@ class TestSvgRendering:
         with pytest.raises(ValueError, match="grid2d"):
             from confbands.plotting import _render_2d
 
-            _render_2d(band, PlotSpec(levels=(0.0,)), (0.0,))
+            _render_2d(band, PlotSpec(levels=(0.0,)))
 
     def test_unknown_palette_rejected(self):
         with pytest.raises(ValueError, match="palette"):
@@ -373,8 +394,21 @@ class TestSvgRendering:
     @pytest.mark.parametrize("level", [np.inf, -np.inf, np.nan])
     def test_non_finite_levels_rejected(self, level):
         # a 2-D band used to render these as an SVG with no contour
-        with pytest.raises(ValueError, match="levels must be finite"):
+        with pytest.raises(ValueError) as info:
             PlotSpec(levels=(0.0, level))
+        assert str(info.value) == "threshold must be finite"
+
+    @pytest.mark.parametrize("set_type", ["upper", "lower"])
+    @pytest.mark.parametrize("levels", [(), (np.inf,), (0.0, np.nan)],
+                             ids=["empty", "inf", "nan"])
+    def test_levels_refused_as_threshold_spec_refuses_them(self, levels, set_type):
+        messages = []
+        for build in (lambda: PlotSpec(levels=levels, set_type=set_type),
+                      lambda: regions.ThresholdSpec(set_type, levels)):
+            with pytest.raises(ValueError) as info:
+                build()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
     def test_spectral_palette_documented_stops(self):
         assert PALETTES["Spectral"][0] == "#9e0142"
