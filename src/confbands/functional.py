@@ -24,7 +24,9 @@ cells.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 from scipy.interpolate import BSpline
@@ -81,13 +83,14 @@ class FunctionalDataset:
     """Functional outcomes on a shared time grid with scalar covariates.
 
     ``outcomes`` is (n_subjects, n_times) with NaN marking missing cells.
-    Times, outcomes and covariates are kept as read-only copies.
+    Times, outcomes and covariates are kept as read-only copies, the
+    covariates in a read-only mapping.
     """
 
     ids: tuple
     times: np.ndarray
     outcomes: np.ndarray
-    covariates: dict
+    covariates: Mapping
 
     def __post_init__(self):
         t = _frozen(_axis("times", self.times))
@@ -104,7 +107,12 @@ class FunctionalDataset:
                 raise ValueError(f"covariate {name!r} contains non-finite values")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "outcomes", Y)
-        object.__setattr__(self, "covariates", cov)
+        object.__setattr__(self, "covariates", MappingProxyType(cov))
+
+    def __reduce__(self):
+        # a mapping proxy does not pickle; a copy is built, and checked,
+        # by the constructor
+        return type(self), (self.ids, self.times, self.outcomes, dict(self.covariates))
 
     @property
     def n_subjects(self) -> int:

@@ -80,9 +80,12 @@ _CASE_EDGES = (
     [], [(3, 0)], [(0, 1)], [(3, 1)], [(1, 2)], [(3, 0), (1, 2)], [(0, 2)], [(2, 3)],
     [(2, 3)], [(0, 2)], [(0, 1), (2, 3)], [(1, 2)], [(3, 1)], [(0, 1)], [(3, 0)], [],
 )
-# canonical (node offset, axis) key of each cell edge, so that the two cells
+# the same table as a (16, 2, 2) array, zero-padded, and the segments per case
+_CASE_SEGMENTS = np.array([(edges + [(0, 0)] * 2)[:2] for edges in _CASE_EDGES])
+_CASE_COUNT = np.array([len(edges) for edges in _CASE_EDGES])
+# canonical (node offset, axis) of each cell edge, so that the two cells
 # sharing an edge name it alike
-_EDGE_KEYS = ((0, 0, 0), (1, 0, 1), (0, 1, 0), (0, 0, 1))
+_EDGE_KEYS = np.array(((0, 0, 0), (1, 0, 1), (0, 1, 0), (0, 0, 1)))
 
 
 def marching_squares(fieldvals, level: float, mask=None):
@@ -91,7 +94,8 @@ def marching_squares(fieldvals, level: float, mask=None):
     Linear interpolation along cell edges; the two ambiguous (saddle) cases
     are resolved by comparing the cell average to the level. Cells touching a
     masked or non-finite node emit nothing. Segments are joined into maximal
-    chains; output points are (axis0, axis1) index coordinates.
+    chains; output points are (axis0, axis1) index coordinates, the crossing
+    coordinate a ``np.float64`` and the grid one a ``float``.
     """
     F = np.asarray(fieldvals, dtype=float)
     if F.ndim != 2:
@@ -102,10 +106,30 @@ def marching_squares(fieldvals, level: float, mask=None):
         if mask.shape != F.shape:
             raise ValueError("mask shape mismatch")
         ok &= mask
-    level = float(level)
+    a, b, on_axis0, starts = _contour_chains(F, float(level), ok)
+    pts = [(x, float(y)) if k else (float(x), y)
+           for x, y, k in zip(list(a), list(b), on_axis0.tolist())]
+    return [pts[s:e] for s, e in zip(starts[:-1], starts[1:])]
 
-    def corners(a):
-        return np.stack([a[:-1, :-1], a[1:, :-1], a[1:, 1:], a[:-1, 1:]])
+
+def _contour_chains(F, level, ok):
+    """The level set of ``F`` on the cells whose four nodes are ``ok``, as
+    chains of cell-edge crossings in flat arrays.
+
+    Returns the (axis0, axis1) index coordinates ``a`` and ``b`` of every
+    chain's points, chain after chain; whether each point lies on an axis-0
+    edge, so that its ``a`` is the crossing (else its ``b`` is); and the
+    chain offsets into those arrays, one more than there are chains.
+
+    Segments come cell by cell in row-major order, within a cell in
+    ``_CASE_EDGES`` order. A chain starts at the first segment not yet in a
+    chain, in that segment's direction, and extends forward from its second
+    end, then backward from its first. A closed chain ends on its first point.
+    """
+    n1, n2 = F.shape
+
+    def corners(x):
+        return np.stack([x[:-1, :-1], x[1:, :-1], x[1:, 1:], x[:-1, 1:]])
 
     bits = corners(F >= level).astype(int)
     case = bits[0] | bits[1] << 1 | bits[2] << 2 | bits[3] << 3
@@ -117,59 +141,57 @@ def marching_squares(fieldvals, level: float, mask=None):
         center_in = (values[0] + values[1] + values[2] + values[3]) / 4.0 >= level
         # index coordinate of the level crossing on every axis-0 edge
         # (i, j)-(i+1, j) and every axis-1 edge (i, j)-(i, j+1)
-        along = (np.arange(F.shape[0] - 1)[:, None] + (level - F[:-1]) / (F[1:] - F[:-1]),
-                 np.arange(F.shape[1] - 1) + (level - F[:, :-1]) / (F[:, 1:] - F[:, :-1]))
+        along = (np.arange(n1 - 1)[:, None] + (level - F[:-1]) / (F[1:] - F[:-1]),
+                 np.arange(n2 - 1) + (level - F[:, :-1]) / (F[:, 1:] - F[:, :-1]))
     case = np.where(((case == 5) | (case == 10)) & center_in, 15 - case, case)
     crossed = corners(ok).all(axis=0) & (case % 15 != 0)
     ii, jj = np.nonzero(crossed)
-    segments = []  # pairs of edge keys, cells in row-major order
-    for i, j, c in zip(ii.tolist(), jj.tolist(), case[crossed].tolist()):
-        for e0, e1 in _CASE_EDGES[c]:
-            (a0, b0, axis0), (a1, b1, axis1) = _EDGE_KEYS[e0], _EDGE_KEYS[e1]
-            segments.append(((i + a0, j + b0, axis0), (i + a1, j + b1, axis1)))
-    points = {(i, j, axis): (along[0][i, j], float(j)) if axis == 0
-              else (float(i), along[1][i, j]) for seg in segments for i, j, axis in seg}
-    return _join_chains(segments, points)
+    case = case[crossed]
+    count = _CASE_COUNT[case]
+    cell = np.repeat(np.arange(case.size), count)
+    nth = np.arange(cell.size) - np.repeat(np.cumsum(count) - count, count)
+    edge = _EDGE_KEYS[_CASE_SEGMENTS[case[cell], nth]]  # (segment, end, (di, dj, axis))
+    # end e of segment s is end 2s + e; the id of its edge is
+    # ((i * n2 + j) * 2 + axis) for the edge's node (i, j)
+    key = (((ii[cell, None] + edge[..., 0]) * n2 + jj[cell, None] + edge[..., 1]) * 2
+           + edge[..., 2]).ravel()
+    # the other segment end on the same edge, or -1: an edge is shared by two
+    # cells, and each crosses it with at most one segment
+    order = np.argsort(key, kind="stable")
+    pair = np.flatnonzero(key[order[1:]] == key[order[:-1]])
+    partner = np.full(key.size, -1)
+    partner[order[pair]] = order[pair + 1]
+    partner[order[pair + 1]] = order[pair]
 
+    partner = partner.tolist()
+    used = [False] * (key.size // 2)
 
-def _join_chains(segments, points):
-    """Join segments sharing edge keys into maximal polylines."""
-    if not segments:
-        return []
-    unused = {seg: True for seg in segments}
-    seg_at = {}
-    for seg in segments:
-        a, b = seg
-        seg_at.setdefault(a, []).append(seg)
-        seg_at.setdefault(b, []).append(seg)
+    def extend(end):
+        """The far ends of the unused segments chained on from ``end``."""
+        out = []
+        while (p := partner[end]) >= 0 and not used[p >> 1]:
+            used[p >> 1] = True
+            end = p ^ 1
+            out.append(end)
+        return out
 
-    def take_from(key):
-        for seg in seg_at.get(key, []):
-            if unused.get(seg):
-                unused[seg] = False
-                return seg[1] if seg[0] == key else seg[0]
-        return None
-
-    chains = []
-    for seg in segments:
-        if not unused.get(seg):
+    ends, starts = [], [0]
+    for s in range(len(used)):
+        if used[s]:
             continue
-        unused[seg] = False
-        chain = [seg[0], seg[1]]
-        # extend forward
-        while True:
-            nxt = take_from(chain[-1])
-            if nxt is None:
-                break
-            chain.append(nxt)
-        # extend backward
-        while True:
-            prv = take_from(chain[0])
-            if prv is None:
-                break
-            chain.insert(0, prv)
-        chains.append([points[k] for k in chain])
-    return chains
+        used[s] = True
+        forward = extend(2 * s + 1)
+        ends += extend(2 * s)[::-1]
+        ends += [2 * s, 2 * s + 1]
+        ends += forward
+        starts.append(len(ends))
+    node, axis = np.divmod(key[ends], 2)
+    i, j = np.divmod(node, n2)
+    on_axis0 = axis == 0
+    a, b = i.astype(float), j.astype(float)
+    a[on_axis0] = along[0][i[on_axis0], j[on_axis0]]
+    b[~on_axis0] = along[1][i[~on_axis0], j[~on_axis0]]
+    return a, b, on_axis0, starts
 
 
 # ---------------------------------------------------------------------------
@@ -177,50 +199,52 @@ def _join_chains(segments, points):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".2f")
-
-
 _WIDTH, _HEIGHT = 640, 480
 _MARGIN = 46.0
 
 
+def _points(xs, ys):
+    """An SVG points list: one "x,y" pair per point, two decimals each."""
+    return " ".join([f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys)])
+
+
 class _Svg:
-    """An SVG document of the fixed plot size on a white background."""
+    """An SVG document of the fixed plot size on a white background. Every
+    coordinate and size is written with two decimals."""
 
     def __init__(self):
         self.parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
             f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">'
         ]
-        self.rect(0, 0, _WIDTH, _HEIGHT, "#ffffff")
+        self.rects([0], [0], [0], [0], _WIDTH, _HEIGHT, ["#ffffff"])
 
-    def rect(self, x, y, w, h, fill):
+    def rects(self, xs, ys, ii, jj, w, h, fills):
+        """Rectangles of one size at (``xs[i]``, ``ys[j]``), one per (i, j, fill)."""
+        xs, ys = [f"{x:.2f}" for x in xs], [f"{y:.2f}" for y in ys]
+        size = f'width="{w:.2f}" height="{h:.2f}"'
+        self.parts += [f'<rect x="{xs[i]}" y="{ys[j]}" {size} fill="{fill}"/>'
+                       for i, j, fill in zip(ii, jj, fills)]
+
+    def polygon(self, xs, ys, fill, opacity):
         self.parts.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" '
-            f'fill="{fill}"/>'
-        )
+            f'<polygon points="{_points(xs, ys)}" fill="{fill}" fill-opacity="{opacity}"/>')
 
-    def polygon(self, pts, fill, opacity):
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
-        self.parts.append(f'<polygon points="{coords}" fill="{fill}" fill-opacity="{opacity}"/>')
-
-    def polyline(self, pts, stroke, width=1.5):
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
+    def polyline(self, xs, ys, stroke, width=1.5):
         self.parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
+            f'<polyline points="{_points(xs, ys)}" fill="none" stroke="{stroke}" '
             f'stroke-width="{width}"/>'
         )
 
     def line(self, x0, y0, x1, y1, stroke, width=3.0):
         self.parts.append(
-            f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
+            f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" '
             f'stroke="{stroke}" stroke-width="{width}"/>'
         )
 
     def text(self, x, y, content, fill="black", size=11, anchor="middle"):
         self.parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" '
+            f'<text x="{x:.2f}" y="{y:.2f}" font-family="sans-serif" '
             f'font-size="{size}" fill="{fill}" text-anchor="{anchor}">{content}</text>'
         )
 
@@ -245,7 +269,7 @@ def _palette_colors(palette, t):
     k = np.clip(np.floor(pos), 0, len(stops) - 2).astype(int)
     frac = (pos - k)[:, None]
     rgb = np.rint(stops[k] + (stops[k + 1] - stops[k]) * frac).astype(int)
-    return ["#%02x%02x%02x" % tuple(c) for c in rgb.tolist()]
+    return [f"#{c:06x}" for c in (rgb << [16, 8, 0]).sum(axis=1).tolist()]
 
 
 def _segments_from_bools(include):
@@ -270,14 +294,12 @@ def _render_1d(band: SCBand, spec: PlotSpec) -> str:
     # gray band polygon and estimate curve, split at masked cells
     m = band.domain.mask_array()
     for a, b in _segments_from_bools(m):
-        xs = x[a:b + 1]
-        upper_pts = [(sx(xi), sy(v)) for xi, v in zip(xs, band.scb_up[a:b + 1])]
-        lower_pts = [(sx(xi), sy(v)) for xi, v in zip(xs, band.scb_low[a:b + 1])][::-1]
-        svg.polygon(upper_pts + lower_pts, "#bbbbbb", opacity="0.7")
-        svg.polyline(
-            [(sx(xi), sy(v)) for xi, v in zip(xs, band.eta_hat[a:b + 1])],
-            "#000000", 1.8,
-        )
+        cells = slice(a, b + 1)
+        xs = sx(x[cells]).tolist()
+        svg.polygon(xs + xs[::-1],
+                    sy(band.scb_up[cells]).tolist() + sy(band.scb_low[cells]).tolist()[::-1],
+                    "#bbbbbb", opacity="0.7")
+        svg.polyline(xs, sy(band.eta_hat[cells]).tolist(), "#000000", 1.8)
     for r in regions.invert_levels(band, regions.ThresholdSpec(spec.set_type, spec.levels)):
         ylevel = sy(r.level)
         layers = (
@@ -314,19 +336,16 @@ def _render_2d(band: SCBand, spec: PlotSpec) -> str:
     # heat field: one rect per unmasked grid cell, in row-major order
     dx = (sx(x1[-1]) - sx(x1[0])) / max(x1.size - 1, 1)
     dy = (sy(x2[0]) - sy(x2[-1])) / max(x2.size - 1, 1)
-    left, bottom = (sx(x1) - dx / 2).tolist(), (sy(x2) - dy / 2).tolist()
     ii, jj = np.nonzero(mask)
-    for i, j, color in zip(ii.tolist(), jj.tolist(),
-                           _palette_colors(spec.palette, (vals - vlo) / span)):
-        svg.rect(left[i], bottom[j], dx, dy, color)
+    svg.rects((sx(x1) - dx / 2).tolist(), (sy(x2) - dy / 2).tolist(), ii.tolist(), jj.tolist(),
+              dx, dy, _palette_colors(spec.palette, (vals - vlo) / span))
 
     def contour_lines(fieldvals, level):
-        lines = []
-        for chain in marching_squares(fieldvals, level, mask):
-            a, b = np.array(chain).T
-            lines.append(list(zip(sx(np.interp(a, np.arange(x1.size), x1)).tolist(),
-                                  sy(np.interp(b, np.arange(x2.size), x2)).tolist())))
-        return lines
+        """Screen coordinates of every chain's points, chain after chain, and
+        the chain offsets."""
+        a, b, _, starts = _contour_chains(fieldvals, level, mask & np.isfinite(fieldvals))
+        return (sx(np.interp(a, np.arange(x1.size), x1)).tolist(),
+                sy(np.interp(b, np.arange(x2.size), x2)).tolist(), starts)
 
     # the outer region of an upper set is bounded by the scb_up contour, of
     # a lower set by the scb_low contour
@@ -335,14 +354,17 @@ def _render_2d(band: SCBand, spec: PlotSpec) -> str:
         outer, inner = inner, outer
     for level in spec.levels:
         lines = [contour_lines(f, level) for f in (outer, band.eta_hat, inner)]
-        for group, color in zip(lines, (OUTER_COLOR, ESTIMATE_2D_COLOR, INNER_COLOR)):
-            for pts in group:
-                svg.polyline(pts, color, 2.0)
-        # the label sits mid-way along the longest estimate contour
-        longest = max(lines[1], key=len, default=[])
-        if spec.level_label and longest and len(longest) >= spec.min_size:
-            mx, my = longest[len(longest) // 2]
-            svg.text(mx, my, f"{level:g}", fill=spec.label_color)
+        for (xs, ys, starts), color in zip(lines, (OUTER_COLOR, ESTIMATE_2D_COLOR,
+                                                   INNER_COLOR)):
+            for s, e in zip(starts[:-1], starts[1:]):
+                svg.polyline(xs[s:e], ys[s:e], color, 2.0)
+        # the label sits mid-way along the first of the longest estimate contours
+        xs, ys, starts = lines[1]
+        sizes = np.diff(starts)
+        if spec.level_label and sizes.size and sizes.max() >= spec.min_size:
+            k = int(np.argmax(sizes))
+            mid = starts[k] + sizes[k] // 2
+            svg.text(xs[mid], ys[mid], f"{level:g}", fill=spec.label_color)
     svg.text(w / 2, h - 10, spec.xlab or "", anchor="middle")
     svg.text(14, h / 2, spec.ylab or "", anchor="middle")
     return svg.tostring()

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -808,6 +810,32 @@ class TestDataset:
         for got, want in zip((data.times, data.outcomes, data.covariates["x"]), before):
             np.testing.assert_array_equal(got, want)
         assert np.isfinite(fit_fosr(data, k_basis=6).contributions).all()
+
+    def test_covariates_read_only(self, rng):
+        # a covariate replaced after construction used to reach fit_fosr,
+        # which then failed for every lambda; the constructor refuses it
+        data = FunctionalDataset(tuple(range(12)), np.linspace(0.0, 1.0, 12),
+                                 rng.standard_normal((12, 12)), {"x": np.arange(12.0)})
+        with pytest.raises(TypeError):
+            data.covariates["x"] = np.full(12, np.nan)
+        with pytest.raises(TypeError):
+            del data.covariates["x"]
+        with pytest.raises(ValueError, match="covariate 'x' contains non-finite values"):
+            FunctionalDataset(data.ids, data.times, data.outcomes, {"x": np.full(12, np.nan)})
+
+    @pytest.mark.parametrize("clone", [lambda d: pickle.loads(pickle.dumps(d)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_copies_keep_data_and_read_only(self, rng, clone):
+        data = FunctionalDataset(("a", "b", "c"), np.linspace(0.0, 1.0, 5),
+                                 rng.standard_normal((3, 5)), {"x": [0.0, 1.0, 0.5]})
+        twin = clone(data)
+        assert twin.ids == data.ids and list(twin.covariates) == ["x"]
+        for got, want in ((twin.times, data.times), (twin.outcomes, data.outcomes),
+                          (twin.covariates["x"], data.covariates["x"])):
+            np.testing.assert_array_equal(got, want)
+            assert not got.flags.writeable
+        with pytest.raises(TypeError):
+            twin.covariates["x"] = np.zeros(3)
 
     def test_from_long_pivots(self):
         ids = ["a", "a", "b", "b"]

@@ -1,14 +1,23 @@
 import hashlib
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from confbands import plotting, regions
-from confbands.core import Domain, assemble_band
+from confbands.core import Domain, SCBand, assemble_band
 from confbands.plotting import (
+    _HEIGHT,
+    _MARGIN,
+    _WIDTH,
+    ESTIMATE_2D_COLOR,
+    INNER_COLOR,
+    OUTER_COLOR,
     PALETTES,
     PlotSpec,
+    _palette_colors,
+    _scale,
     marching_squares,
     render_band_files,
     render_band_svg,
@@ -99,7 +108,47 @@ def reference_marching_squares(fieldvals, level: float, mask=None):
                     keys.append(key)
                 segments.append((keys[0], keys[1]))
 
-    return plotting._join_chains(segments, points)
+    return _join_chains(segments, points)
+
+
+def _join_chains(segments, points):
+    """Join segments sharing edge keys into maximal polylines."""
+    if not segments:
+        return []
+    unused = {seg: True for seg in segments}
+    seg_at = {}
+    for seg in segments:
+        a, b = seg
+        seg_at.setdefault(a, []).append(seg)
+        seg_at.setdefault(b, []).append(seg)
+
+    def take_from(key):
+        for seg in seg_at.get(key, []):
+            if unused.get(seg):
+                unused[seg] = False
+                return seg[1] if seg[0] == key else seg[0]
+        return None
+
+    chains = []
+    for seg in segments:
+        if not unused.get(seg):
+            continue
+        unused[seg] = False
+        chain = [seg[0], seg[1]]
+        # extend forward
+        while True:
+            nxt = take_from(chain[-1])
+            if nxt is None:
+                break
+            chain.append(nxt)
+        # extend backward
+        while True:
+            prv = take_from(chain[0])
+            if prv is None:
+                break
+            chain.insert(0, prv)
+        chains.append([points[k] for k in chain])
+    return chains
 
 
 def reference_palette_color(palette, t):
@@ -134,6 +183,102 @@ def straddle_oracle(fieldvals, level, chains, mask=None):
                 # exactly on a node: the node value must equal the level side
                 continue
             assert (f0 - level) * (f1 - level) <= 0, "edge does not straddle level"
+
+
+# ---------------------------------------------------------------------------
+# Reference 2-D renderer, kept verbatim from the version that joined contour
+# chains with tuple-keyed dicts and formatted one number at a time, with the
+# SVG pieces it uses; render_band_svg must give the same bytes.
+# ---------------------------------------------------------------------------
+
+
+def _fmt(v: float) -> str:
+    return format(float(v), ".2f")
+
+
+class _Svg:
+    """An SVG document of the fixed plot size on a white background."""
+
+    def __init__(self):
+        self.parts = [
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+            f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">'
+        ]
+        self.rect(0, 0, _WIDTH, _HEIGHT, "#ffffff")
+
+    def rect(self, x, y, w, h, fill):
+        self.parts.append(
+            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" '
+            f'fill="{fill}"/>'
+        )
+
+    def polyline(self, pts, stroke, width=1.5):
+        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
+        self.parts.append(
+            f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
+            f'stroke-width="{width}"/>'
+        )
+
+    def text(self, x, y, content, fill="black", size=11, anchor="middle"):
+        self.parts.append(
+            f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" '
+            f'font-size="{size}" fill="{fill}" text-anchor="{anchor}">{content}</text>'
+        )
+
+    def tostring(self) -> str:
+        return "".join(self.parts) + "</svg>"
+
+
+def reference_render_2d(band: SCBand, spec: PlotSpec) -> str:
+    if band.domain.kind != "grid2d":
+        raise ValueError("2D plots need a grid2d domain")
+    x1 = band.domain.coords1
+    x2 = band.domain.coords2
+    mask = band.domain.mask_array()
+    w, h = _WIDTH, _HEIGHT
+    sx = _scale(float(x1[0]), float(x1[-1]), _MARGIN, w - _MARGIN / 2)
+    sy = _scale(float(x2[0]), float(x2[-1]), h - _MARGIN, _MARGIN / 2)
+    svg = _Svg()
+    vals = band.eta_hat[mask]
+    vlo, vhi = float(vals.min()), float(vals.max())
+    span = vhi - vlo if vhi > vlo else 1.0
+    if not np.isfinite(span):
+        raise ValueError("eta_hat spans more than the largest float; no heat scale")
+    # heat field: one rect per unmasked grid cell, in row-major order
+    dx = (sx(x1[-1]) - sx(x1[0])) / max(x1.size - 1, 1)
+    dy = (sy(x2[0]) - sy(x2[-1])) / max(x2.size - 1, 1)
+    left, bottom = (sx(x1) - dx / 2).tolist(), (sy(x2) - dy / 2).tolist()
+    ii, jj = np.nonzero(mask)
+    for i, j, color in zip(ii.tolist(), jj.tolist(),
+                           _palette_colors(spec.palette, (vals - vlo) / span)):
+        svg.rect(left[i], bottom[j], dx, dy, color)
+
+    def contour_lines(fieldvals, level):
+        lines = []
+        for chain in marching_squares(fieldvals, level, mask):
+            a, b = np.array(chain).T
+            lines.append(list(zip(sx(np.interp(a, np.arange(x1.size), x1)).tolist(),
+                                  sy(np.interp(b, np.arange(x2.size), x2)).tolist())))
+        return lines
+
+    # the outer region of an upper set is bounded by the scb_up contour, of
+    # a lower set by the scb_low contour
+    outer, inner = band.scb_up, band.scb_low
+    if spec.set_type == "lower":
+        outer, inner = inner, outer
+    for level in spec.levels:
+        lines = [contour_lines(f, level) for f in (outer, band.eta_hat, inner)]
+        for group, color in zip(lines, (OUTER_COLOR, ESTIMATE_2D_COLOR, INNER_COLOR)):
+            for pts in group:
+                svg.polyline(pts, color, 2.0)
+        # the label sits mid-way along the longest estimate contour
+        longest = max(lines[1], key=len, default=[])
+        if spec.level_label and longest and len(longest) >= spec.min_size:
+            mx, my = longest[len(longest) // 2]
+            svg.text(mx, my, f"{level:g}", fill=spec.label_color)
+    svg.text(w / 2, h - 10, spec.xlab or "", anchor="middle")
+    svg.text(14, h / 2, spec.ylab or "", anchor="middle")
+    return svg.tostring()
 
 
 class TestMarchingSquares:
@@ -423,3 +568,47 @@ class TestSvgRendering:
                 outer = band.scb_up >= level
                 m = band.domain.mask_array()
                 assert np.all(outer[inner & m])
+
+
+def oracle_bands(rng, count):
+    """Random masked 2-D bands with plot specs: uneven axes, real and integer
+    fields (ties and equal corners), levels tied with node values, both set
+    types, every palette and min_size 0-5."""
+    palettes = sorted(PALETTES)
+    for k in range(count):
+        n1, n2 = int(rng.integers(2, 15)), int(rng.integers(2, 15))
+        mask = rng.random((n1, n2)) < 0.85
+        mask.flat[0] = True
+        if k % 2:
+            eta = rng.integers(-2, 3, (n1, n2)).astype(float)
+            se = rng.integers(0, 3, (n1, n2)) * 0.5
+        else:
+            eta = 2.0 * rng.standard_normal((n1, n2))
+            se = rng.uniform(0.0, 1.5, (n1, n2))
+        domain = Domain.grid2d(np.cumsum(rng.uniform(0.1, 2.0, n1)),
+                               np.cumsum(rng.uniform(0.1, 2.0, n2)) - 3.0, mask=mask)
+        band = assemble_band(eta, se, float(rng.uniform(0.5, 3.0)), 1.0, 0.05, domain)
+        nodes = np.concatenate([band.eta_hat[mask], band.scb_low[mask], band.scb_up[mask]])
+        levels = [float(rng.choice(nodes)) if rng.random() < 0.5
+                  else float(rng.standard_normal()) for _ in range(int(rng.integers(1, 4)))]
+        yield band, PlotSpec(levels=tuple(levels), set_type=("upper", "lower")[k // 2 % 2],
+                             palette=palettes[k % len(palettes)], min_size=k % 6,
+                             level_label=k % 7 != 3, xlab="u" * (k % 2), ylab="v")
+
+
+class TestRenderMatchesReference:
+    def test_random_bands_same_bytes(self):
+        ties = 0
+        for band, spec in oracle_bands(np.random.default_rng(19), 300):
+            assert render_band_svg(band, spec) == reference_render_2d(band, spec)
+            ties += sum(level in band.eta_hat for level in spec.levels)
+        assert ties > 30
+
+    def test_per_level_files_same_bytes(self, tmp_path):
+        for k, (band, spec) in enumerate(oracle_bands(np.random.default_rng(20), 20)):
+            spec = replace(spec, together=False)
+            paths = render_band_files(band, spec, str(tmp_path / f"plot{k}.svg"))
+            assert len(paths) == len(spec.levels)
+            for path, level in zip(paths, spec.levels):
+                with open(path) as fh:
+                    assert fh.read() == reference_render_2d(band, replace(spec, levels=(level,)))
