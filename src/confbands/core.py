@@ -4,7 +4,8 @@ and seeded RNG substreams.
 Every band produced by this package is an :class:`SCBand` over a :class:`Domain`.
 Bands and domains are immutable and checked once, when built: each keeps
 read-only copies of its arrays, so an object that exists has passed its
-checks, and ``SCBand.validate`` re-runs the same checks. A band is
+checks (a pickled or deep-copied one is built again through its
+constructor), and ``SCBand.validate`` re-runs the same checks. A band is
 reconstructible bit-for-bit from ``(eta_hat, se, q_alpha, tau, link)``;
 :func:`assemble_band` is the only constructor other code should use.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,6 +60,14 @@ def _frozen(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _reduce_through_init(self):
+    """``__reduce__`` of a frozen dataclass that keeps read-only arrays:
+    pickle and ``copy.deepcopy`` rebuild it through its constructor, which
+    checks the copy and makes its arrays read-only again (numpy restores
+    them writeable)."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
 @dataclass(frozen=True)
 class Domain:
     """Evaluation domain: a 1D grid, a 2D grid with optional mask, or labels.
@@ -98,6 +107,8 @@ class Domain:
             if not m.any():
                 raise ValueError("mask excludes every cell")
             object.__setattr__(self, "mask", m)
+
+    __reduce__ = _reduce_through_init
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -167,6 +178,8 @@ class SCBand:
             object.__setattr__(self, name, _frozen(getattr(self, name)))
         self.validate()
 
+    __reduce__ = _reduce_through_init
+
     def validate(self) -> None:
         """The band rules; construction runs them, so a built band passes."""
         shape = self.domain.shape
@@ -203,9 +216,16 @@ def _logit(p):
 
 
 def _expit(x):
-    # exp of a nonpositive argument only, so neither branch overflows
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # where(x >= 0, 1, e) / (1 + e) with e = exp(-|x|): exp of a nonpositive
+    # argument only, so neither branch overflows. Since 0 <= e <= 1 (or NaN,
+    # which maximum keeps), the numerator is max(e, x >= 0), built in place.
+    x = np.asarray(x, dtype=float)
+    e = np.copysign(x, -1.0, out=np.empty_like(x))
+    np.exp(e, out=e)
+    den = e + 1.0
+    np.maximum(e, x >= 0, out=e)
+    np.divide(e, den, out=e)
+    return e if e.ndim else e[()]
 
 
 def _band_limits(eta_hat, se, q, tau, link):

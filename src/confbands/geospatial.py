@@ -21,8 +21,8 @@ import numpy as np
 import scipy.linalg
 
 from .core import (
-    Domain, SCBand, _axis, _check_alpha, _frozen, assemble_band, empirical_quantile,
-    substream,
+    Domain, SCBand, _axis, _check_alpha, _frozen, _reduce_through_init, assemble_band,
+    empirical_quantile, substream,
 )
 from .functional import multiplier_max_stats
 
@@ -59,6 +59,8 @@ class SpatialObservations:
         object.__setattr__(self, "y", domain.coords2)
         object.__setattr__(self, "values", Z)
         object.__setattr__(self, "mask", domain.mask)
+
+    __reduce__ = _reduce_through_init
 
     @property
     def n_obs(self) -> int:

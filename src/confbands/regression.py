@@ -15,9 +15,11 @@ keyed generator, ``substream(seed, attempt)``, front to back: the round's
 k-th replicate takes the next n uniforms u and draws the rows ``floor(n * u)``.
 The point fits are the same weighted kernels with unit weights, so there is
 one least-squares and one IRLS solver. Replicates are drawn and refit in
-chunks whose size follows from the fixed memory budget ``_CHUNK_BYTES``;
-each replicate is reduced and solved on its own, so the chunk size never
-changes a result.
+chunks whose size follows from the fixed memory budget ``_CHUNK_BYTES``.
+Every per-replicate product is taken over blocks of a fixed number of
+replicates, the last block padded with zero rows, so every BLAS call of a
+bootstrap has one shape and the chunk size never changes a result; each
+replicate is then solved on its own.
 """
 
 from __future__ import annotations
@@ -342,15 +344,36 @@ _CHUNK_BYTES = 8 * 2**20
 # the fewest replicates that either bootstrap band accepts
 _MIN_N_BOOT = 100
 
+# Rows of one _rowwise product: _BLOCK, or fewer where a block of _BLOCK rows
+# and its result would take more than _BLOCK_BYTES. A budget of its own, so
+# that _CHUNK_BYTES never sets the width.
+_BLOCK = 64
+_BLOCK_BYTES = 8 * 2**20
 
-def _rowwise(W, M):
-    """Row b of the result is W[b] @ M.
 
-    One BLAS call per row: a single (B, n) @ (n, k) product lets BLAS pick
-    its kernel, and so its summation order, from B, and then a replicate's
-    result would depend on how many replicates share its chunk.
+def _rowwise(A, M):
+    """Row b of the result is A[b] @ M.
+
+    BLAS picks its kernel, and so its summation order, from a product's
+    shape. So the rows go through BLAS in blocks of one fixed width, the last
+    block padded with zero rows: every product has the same (width, n) @
+    (n, k) shape, and a row's result does not depend on how many rows share
+    its chunk. The width depends only on n + k, never on len(A). That a row
+    of a block product does not depend on its block-mates is a property of
+    the BLAS kernels, which the tests pin, not one that any API promises.
     """
-    return np.matmul(W[:, None, :], M)[:, 0]
+    A = np.ascontiguousarray(A)
+    n, k = M.shape
+    width = max(1, min(_BLOCK, _BLOCK_BYTES // (8 * (n + k))))
+    out = np.empty((len(A), k))
+    full = len(A) - len(A) % width
+    for start in range(0, full, width):
+        np.matmul(A[start:start + width], M, out=out[start:start + width])
+    if full < len(A):
+        block = np.zeros((width, n))
+        block[:len(A) - full] = A[full:]
+        out[full:] = (block @ M)[:len(A) - full]
+    return out
 
 
 def _weighted_gram(X, W):
@@ -508,7 +531,11 @@ def _replicate_max_stats(X, y, family, C, stat_design, center):
     deviation from ``center`` by its own SE. Returns (max stats, ok)."""
     beta, cov, ok, _ = _refit(family, X, y, C)
     stat = _rowwise(beta, stat_design.T)
-    var = np.sum(np.matmul(stat_design, cov) * stat_design, axis=2)
+    # var[b, g] = sum_jk D[g, j] cov[b, j, k] D[g, k], as one product with
+    # the row-wise outer products of D
+    g, p = stat_design.shape
+    DD = (stat_design[:, :, None] * stat_design[:, None, :]).reshape(g, p * p)
+    var = _rowwise(cov.reshape(-1, p * p), DD.T)
     se = np.sqrt(np.maximum(var, 0.0))
     stats, degenerate = _studentized_max(stat - center[None, :], se)
     # a degenerate replicate is redrawn

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import warnings
 
 import numpy as np
@@ -246,13 +248,30 @@ def _expit_two_branch(x):
     return out
 
 
+def _expit_where(x):
+    """The np.where form of _expit, kept as the byte-level reference: the
+    band loader rebuilds logit limits through _expit, so no bit may move."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def test_expit_matches_two_branch_reference(rng):
-    special = np.array([np.inf, -np.inf, 0.0, -0.0, np.nan, 800.0, -800.0, 745.2, -745.2])
+    special = np.array([np.inf, -np.inf, 0.0, -0.0, np.nan, np.copysign(np.nan, -1.0),
+                        800.0, -800.0, 745.2, -745.2, 1e-320, -1e-320, 5e-324, -5e-324])
     x = np.concatenate([special, rng.uniform(-800, 800, 5000), rng.standard_normal(5000)])
     got = _expit(x)
     np.testing.assert_array_equal(got, _expit_two_branch(x))
+    assert got.tobytes() == _expit_where(x).tobytes()
     grid = x[:10000].reshape(100, 100)
     np.testing.assert_array_equal(_expit(grid), _expit_two_branch(grid))
+    for view in (grid[::3, ::-2], grid.T):
+        assert not view.flags.c_contiguous
+        assert _expit(view).tobytes() == _expit_where(view).tobytes()
+    for v in special:
+        for scalar in (float(v), np.float64(v), np.array(v)):
+            got, want = _expit(scalar), _expit_where(scalar)
+            assert type(got) is type(want) and np.ndim(got) == 0
+            assert got.tobytes() == want.tobytes()
 
 
 class TestDomain:
@@ -294,6 +313,47 @@ class TestImmutable:
         assert band_to_json(band) == text
         assert line.coords1[0] == 0.0 and grid.coords1[0] == 0.0 and grid.coords2[0] == 0.0
         assert not grid.mask[0, 1]
+
+
+@pytest.mark.parametrize("clone", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+class TestCopies:
+    """A pickled or deep-copied band or domain is built again through its
+    constructor, so it keeps read-only arrays and limits derived from its
+    fields."""
+
+    def test_band_copy_is_equal_and_read_only(self, rng, clone):
+        logit = assemble_band(rng.uniform(0.05, 0.95, 7), rng.uniform(0.0, 1.0, 7), 2.0, 1.0,
+                              0.05, Domain.grid1d(np.arange(7.0)), link="logit")
+        for band in [random_band(rng, "grid1d"), random_band(rng, "grid2d", masked=True),
+                     random_band(rng, "discrete"), logit]:
+            twin = clone(band)
+            assert band_to_json(twin) == band_to_json(band)
+            for name in ("eta_hat", "se", "scb_low", "scb_up"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(twin, name)[0] = 99.0
+            for arr in (twin.domain.coords1, twin.domain.coords2, twin.domain.mask):
+                if arr is not None:
+                    assert not arr.flags.writeable
+
+    def test_domain_copy_is_equal_and_read_only(self, clone):
+        mask = np.array([[True, False], [True, True], [True, True]])
+        d = Domain.grid2d(np.arange(3.0), [0.5, 2.0], mask=mask)
+        twin = clone(d)
+        assert twin.kind == "grid2d" and twin.shape == (3, 2)
+        for got, want in ((twin.coords1, d.coords1), (twin.coords2, d.coords2), (twin.mask, mask)):
+            np.testing.assert_array_equal(got, want)
+            assert not got.flags.writeable
+        assert clone(Domain.discrete(["a", "b"])).labels == ("a", "b")
+
+    def test_copy_is_checked_again(self, rng, clone, monkeypatch):
+        # the copy goes through the constructor: its band rules run again
+        band = random_band(rng, "grid1d")
+        calls = []
+        validate = core.SCBand.validate
+        monkeypatch.setattr(core.SCBand, "validate", lambda b: calls.append(b) or validate(b))
+        twin = clone(band)
+        assert len(calls) == 1 and calls[0] is twin
 
 
 class TestBandJson:

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -239,6 +242,24 @@ def test_planted_exceedance_containment():
     p = hits / reps
     mcse = np.sqrt(max(p * (1 - p), 1e-4) / reps)
     assert p >= 0.90 - 3 * mcse, f"containment {p:.3f}"
+
+
+@pytest.mark.parametrize("clone", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_observation_copies_keep_data_and_read_only(clone):
+    # a copy is built again through the constructor; numpy alone would
+    # restore writeable arrays
+    mask = np.ones((8, 6), bool)
+    mask[:2, :3] = False
+    data, _, _ = planted_field(mask=mask)
+    twin = clone(data)
+    for got, want in ((twin.x, data.x), (twin.y, data.y), (twin.values, data.values),
+                      (twin.mask, data.mask)):
+        np.testing.assert_array_equal(got, want)
+        assert not got.flags.writeable
+    assert twin.domain.mask is twin.mask and twin.domain.coords1 is twin.x
+    with pytest.raises(ValueError, match="read-only"):
+        twin.values[0, 0, 0] = 99.0
 
 
 class TestRefusedInput:

@@ -550,6 +550,88 @@ class TestCountWeightedRefits:
         assert np.isfinite(band.q_alpha)
         assert peak < 256 * 2**20
 
+    @pytest.mark.parametrize("family, per_row_mib", [("gaussian", 32.2), ("binomial", 62.7)])
+    def test_large_n_bootstrap_memory(self, family, per_row_mib):
+        # fixed-width padded blocks must not outgrow the chunk budget at
+        # large n: at most twice the tracemalloc peak of this call when
+        # _rowwise made one BLAS call per replicate (per_row_mib)
+        rng = np.random.default_rng(3)
+        n = 200_000
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, 3))])
+        eta = X @ [0.2, 1.0, -0.5, 0.25]
+        if family == "gaussian":
+            y = eta + rng.standard_normal(n)
+        else:
+            y = (rng.random(n) < expit(eta)).astype(float)
+        G = np.column_stack([np.ones(11), np.linspace(-1, 1, 11), np.zeros((11, 2))])
+        center = G @ np.linalg.lstsq(X, y, rcond=None)[0]
+        tracemalloc.start()
+        try:
+            r_max = regression._bootstrap_max_stats(X, y, family, G, center, 20, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(r_max))
+        assert peak < 2 * per_row_mib * 2**20
+
+
+def design_products(n, p, g, rng):
+    """Every (n, k) right-hand side that a bootstrap of a design with n rows,
+    p coefficients and a g-point statistic grid hands to _rowwise, in the
+    layout it has there: the Gram outer products, X, the F-ordered X.T and
+    stat_design.T, and the transposed outer products of stat_design."""
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+    D = np.eye(p) if g == p else np.column_stack([np.ones(g), rng.standard_normal((g, p - 1))])
+    outer = (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
+    DD = (D[:, :, None] * D[:, None, :]).reshape(g, p * p)
+    return [outer, X, X.T, D.T, DD.T]
+
+
+class TestRowwise:
+    """A row's product does not depend on its block-mates, its padding or its
+    position in a block, so a bootstrap's result does not depend on its chunk
+    size. This is a property of the BLAS kernels that no API promises."""
+
+    # (n, p, grid) of the mean-outcome (n = 100, 100-point grid) and the
+    # coefficient designs (n = 200, p = 6, identity statistic)
+    DESIGNS = [(100, 4, 100), (200, 6, 6)]
+
+    @pytest.mark.parametrize("n, p, g", DESIGNS, ids=["outcome", "coef"])
+    def test_row_independent_of_block(self, n, p, g):
+        rng = np.random.default_rng(n + p)
+        width = regression._BLOCK
+        products = design_products(n, p, g, rng)
+        assert any(M.flags.f_contiguous and not M.flags.c_contiguous for M in products)
+        for M in products:
+            inner = M.shape[0]
+            assert 8 * width * sum(M.shape) <= regression._BLOCK_BYTES  # full width
+            mates = rng.standard_normal((2 * width, inner)) * rng.uniform(0.1, 100, (2 * width, 1))
+            for b, bad in enumerate([np.nan, np.inf, -np.inf, 1e308, -1e308]):
+                mates[7 * b + 1] = bad  # failed replicates keep such rows
+                mates[width + 5 * b] = bad
+            row = rng.standard_normal(inner) * 3.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                alone = regression._rowwise(row[None], M)[0]
+                np.testing.assert_allclose(alone, row @ M, rtol=1e-12, atol=1e-12)
+                for pos in range(width):
+                    block = mates[:width].copy()
+                    block[pos] = row
+                    for got in (regression._rowwise(block, M)[pos],
+                                regression._rowwise(block[:pos + 1], M)[pos],
+                                regression._rowwise(np.vstack([mates[width:], block]),
+                                                    M)[width + pos]):
+                        assert got.tobytes() == alone.tobytes()
+
+    def test_rows_match_one_product(self, rng):
+        # a chunk that is not a multiple of the block width: the padded last
+        # block's rows equal one product of the whole chunk, within rounding
+        A = rng.standard_normal((150, 36))
+        M = rng.standard_normal((36, 6))
+        got = regression._rowwise(A, M)
+        assert got.shape == (150, 6)
+        np.testing.assert_allclose(got, A @ M, rtol=1e-12, atol=1e-12)
+        assert regression._rowwise(A[:0], M).shape == (0, 6)
+
 
 class LargestUniform:
     """A stand-in Generator whose every uniform is 1 - 2**-53, the largest
