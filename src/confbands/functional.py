@@ -628,13 +628,26 @@ def multiplier_max_stats(
 
     Residuals are R_n = sqrt(N/(N-1)) (sample_n - mean); each replicate draws
     multipliers g and evaluates T*(s) = N^{-1/2} sum_n g_n R_n(s) / eps*(s).
-    ``sd_method="regular"`` uses the sample SD of the original residuals,
-    constant across replicates; ``"t"`` recomputes the SD from the perturbed
-    sample {g_n R_n} per replicate (absolute value inside the square root for
-    numerical stability). Under Rademacher weights g_n^2 = 1, so the second
-    moment of the perturbed sample is the same for every replicate and is
-    taken once per spot. Cells where both numerator and SD vanish
-    contribute 0.
+    ``sd_method="regular"`` uses the SD of the original residuals, constant
+    across replicates; ``"t"`` recomputes the SD from the perturbed sample
+    {g_n R_n} per replicate (absolute value inside the square root for
+    numerical stability). Cells where both numerator and SD vanish
+    contribute 0; a replicate with a zero SD against a nonzero numerator
+    raises "degenerate SE".
+
+    Each spot's residuals are first scaled by an exact power of two, so that
+    their squares neither overflow nor underflow; no statistic changes under
+    a positive per-spot scale. Where the SD does not vary per replicate
+    (``"regular"``, and ``"t"`` under Rademacher weights, where g_n^2 = 1
+    makes the second moment m2(s) = sum_n R_n(s)^2 / N the same for every
+    replicate), |T*(s)| is a monotone function of
+    s*(s) = |g . R(s)| / (N sqrt(m2(s))). So each spot's residuals are divided
+    by sqrt(m2(s)) once (a zero spot stays zero), a replicate's maximum of
+    |g . R(s)| is a GEMM followed by abs and max, and one map per replicate
+    finishes: T = M / sqrt(N) for ``"regular"``, and with s = M / N,
+    T = sqrt(N-1) s / sqrt((1-s)(1+s)) for ``"t"``, where s >= 1 is the
+    degenerate case. Gaussian and Mammen weights under ``"t"`` studentize
+    every cell of every replicate.
 
     The multipliers are drawn once, from the caller's keyed ``rng``; the
     spots are then reduced in blocks of the fixed width ``_SPOT_BLOCK``,
@@ -656,17 +669,23 @@ def multiplier_max_stats(
     flat = samples.reshape(N, -1)
     R = flat - flat.mean(axis=0)
     R *= np.sqrt(N / (N - 1.0))
+    # exact powers of two: no statistic moves, and R**2 neither overflows nor underflows
+    np.ldexp(R, -np.frexp(np.abs(R).max(axis=0))[1], out=R)
     g = _multiplier_matrix(weights, (n_boot, N), rng)
-    g2 = None if weights == "rademacher" else g**2
-    sd = flat.std(axis=0, ddof=1) if sd_method == "regular" else None
+    studentize = sd_method == "t" and weights != "rademacher"
+    g2 = g**2 if studentize else None
+    if not studentize:
+        root = np.sqrt((R**2).sum(axis=0) / N)
+        root[root == 0] = 1.0
+        R /= root
     maxima = np.zeros(n_boot)
-    buf = np.empty((n_boot, min(_SPOT_BLOCK, R.shape[1]))) if sd is None else None
+    width = min(_SPOT_BLOCK, R.shape[1])
+    buf = np.empty((n_boot, width) if studentize else (width, n_boot))
     for start in range(0, R.shape[1], _SPOT_BLOCK):
-        blk = slice(start, start + _SPOT_BLOCK)
-        num = g @ R[:, blk]
-        if sd is None:
-            R2 = R[:, blk] ** 2
-            m2 = R2.sum(axis=0) / N if g2 is None else (g2 @ R2) / N
+        Rb = R[:, start:start + _SPOT_BLOCK]
+        if studentize:
+            num = g @ Rb
+            m2 = (g2 @ Rb**2) / N
             # sqrt((N/(N-1)) * |m2 - (num/N)**2|), one operation at a time in one buffer
             eps = buf[:, :num.shape[1]]
             np.divide(num, N, out=eps)
@@ -675,14 +694,25 @@ def multiplier_max_stats(
             np.abs(eps, out=eps)
             np.multiply(N / (N - 1.0), eps, out=eps)
             np.sqrt(eps, out=eps)
+            num /= np.sqrt(N)
+            block_max, degenerate = _studentized_max(num, eps)
+            if degenerate.any():
+                raise ValueError("degenerate SE")
         else:
-            eps = sd[blk]
-        num /= np.sqrt(N)
-        block_max, degenerate = _studentized_max(num, eps)
-        if degenerate.any():
-            raise ValueError("degenerate SE")
+            # one row per spot, so the max over the block runs down contiguous rows
+            dots = np.matmul(Rb.T, g.T, out=buf[:Rb.shape[1]])
+            np.abs(dots, out=dots)
+            block_max = dots.max(axis=0)
         np.maximum(maxima, block_max, out=maxima)
-    return maxima
+    if studentize:
+        return maxima
+    if sd_method == "regular":
+        return maxima / np.sqrt(N)
+    s = maxima / N
+    gap = (1.0 - s) * (1.0 + s)
+    if (gap <= 0).any():
+        raise ValueError("degenerate SE")
+    return np.sqrt(N - 1.0) * s / np.sqrt(gap)
 
 
 def scb_multiplier(

@@ -336,9 +336,10 @@ def predict_mean(fit: FittedGLM, grid: Table) -> tuple[np.ndarray, np.ndarray]:
 # replicate).
 # ---------------------------------------------------------------------------
 
-# Bytes of one (chunk, n) or (chunk, grid, p) float64 work array in the
-# bootstrap; it holds a handful of these, so this bounds its memory whatever
-# n, the grid size and n_boot are.
+# Bytes of the widest float64 work array of one bootstrap chunk: (chunk, n)
+# counts and residuals, (chunk, grid) statistics and SEs, or (chunk, p*p)
+# Grams and covariances. A chunk holds a handful of these, so this bounds its
+# memory whatever n, the grid size, p and n_boot are.
 _CHUNK_BYTES = 8 * 2**20
 
 # the fewest replicates that either bootstrap band accepts
@@ -502,7 +503,7 @@ def _bootstrap_max_stats(X, y, family, stat_design, center, n_boot, seed):
     attempts in total.
     """
     n = X.shape[0]
-    chunk = max(1, _CHUNK_BYTES // (8 * max(n, stat_design.size)))
+    chunk = max(1, _CHUNK_BYTES // (8 * max(n, stat_design.shape[0], X.shape[1] ** 2)))
     r_max = np.full(n_boot, np.nan)
     pending = np.arange(n_boot)
     attempt = 0

@@ -398,9 +398,32 @@ class TestMultiplierBootstrap:
         samples = rng.standard_normal((20, 2 * _SPOT_BLOCK + 10))
         j = _SPOT_BLOCK + 3
         samples[:, j] = 5.0
-        stats = multiplier_max_stats(samples, 200, rng=substream(4))
-        without = multiplier_max_stats(np.delete(samples, j, axis=1), 200, rng=substream(4))
-        np.testing.assert_allclose(stats, without, rtol=1e-13, atol=0)
+        for weights in ("rademacher", "gaussian", "mammen"):
+            for sd_method in ("t", "regular"):
+                args = (200, weights, sd_method)
+                stats = multiplier_max_stats(samples, *args, rng=substream(4))
+                without = multiplier_max_stats(np.delete(samples, j, axis=1), *args, rng=substream(4))
+                np.testing.assert_allclose(stats, without, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("sd_method", ["t", "regular"])
+    @pytest.mark.parametrize("weights", ["rademacher", "gaussian", "mammen"])
+    @pytest.mark.parametrize("value", [5.0, 0.3, 0.1, 0.7])
+    def test_constant_spot_of_three_subjects(self, weights, sd_method, value):
+        # three copies of 5.0 or 0.3 have an exact mean, so the spot's
+        # residuals are 0 and it contributes 0. Those of 0.1 or 0.7 do not:
+        # the residuals are equal and nonzero, and Rademacher multipliers of
+        # one sign make the perturbed sample constant against a nonzero
+        # numerator. These are the decisions of per-cell studentization
+        samples = np.column_stack([substream(1).standard_normal((3, 5)), np.full(3, value)])
+
+        def run():
+            return multiplier_max_stats(samples, 100, weights, sd_method, rng=substream(2))
+
+        if (weights, sd_method) == ("rademacher", "t") and value in (0.1, 0.7):
+            with pytest.raises(ValueError, match="degenerate SE"):
+                run()
+        else:
+            assert np.all(np.isfinite(run()))
 
     def test_degenerate_spot_in_last_partial_block_raises(self, rng):
         # R proportional to the multipliers (1, 1, -1, -1) makes the perturbed
@@ -475,9 +498,10 @@ def unblocked_multiplier_max(samples, n_boot, weights, sd_method, rng):
     return np.max(np.abs(num / np.sqrt(N)) / eps, axis=1)
 
 
-def blocked_multiplier_max(samples, n_boot, weights, sd_method, rng):
-    """The multiplier-t maxima over blocks of _SPOT_BLOCK spots, with eps as
-    one expression and the masked studentized max on every replicate."""
+def blocked_multiplier_max(samples, n_boot, weights, rng):
+    """The Gaussian and Mammen multiplier-t maxima over blocks of _SPOT_BLOCK
+    spots, with eps as one expression and the masked studentized max on
+    every replicate."""
     N = samples.shape[0]
     flat = samples.reshape(N, -1)
     R = flat - flat.mean(axis=0)
@@ -487,16 +511,35 @@ def blocked_multiplier_max(samples, n_boot, weights, sd_method, rng):
     for start in range(0, R.shape[1], _SPOT_BLOCK):
         Rb = R[:, start:start + _SPOT_BLOCK]
         num = g @ Rb
-        if sd_method == "regular":
-            eps = flat.std(axis=0, ddof=1)[start:start + _SPOT_BLOCK]
-        else:
-            m2 = (Rb**2).sum(axis=0) / N if weights == "rademacher" else (g**2 @ Rb**2) / N
-            eps = np.sqrt((N / (N - 1.0)) * np.abs(m2 - (num / N) ** 2))
+        m2 = (g**2 @ Rb**2) / N
+        eps = np.sqrt((N / (N - 1.0)) * np.abs(m2 - (num / N) ** 2))
         num /= np.sqrt(N)
         ratio = np.zeros(num.shape)
         np.divide(np.abs(num), eps, out=ratio, where=eps != 0)
         maxima = np.maximum(maxima, ratio.max(axis=1, initial=0.0))
     return maxima
+
+
+def scaled_gemm_multiplier_max(samples, n_boot, weights, sd_method, rng):
+    """The Rademacher-t and regular multiplier maxima by the scaled-GEMM
+    rule, block by block without buffers: each spot's residuals over a power
+    of two and then over sqrt(m2), the maximum of |R_blk' g'| down each
+    block, and the per-replicate map of the maximum M."""
+    N = samples.shape[0]
+    flat = samples.reshape(N, -1)
+    R = np.sqrt(N / (N - 1.0)) * (flat - flat.mean(axis=0))
+    R = R * 2.0 ** -np.frexp(np.abs(R).max(axis=0))[1]
+    root = np.sqrt(np.sum(R * R, axis=0) / N)
+    R = R / np.where(root > 0, root, 1.0)
+    g = _multiplier_matrix(weights, (n_boot, N), rng)
+    M = np.zeros(n_boot)
+    for start in range(0, R.shape[1], _SPOT_BLOCK):
+        M = np.maximum(M, np.abs(R[:, start:start + _SPOT_BLOCK].T @ g.T).max(axis=0))
+    if sd_method == "regular":
+        return M / np.sqrt(N)
+    s = M / N
+    assert np.all((1.0 - s) * (1.0 + s) > 0)
+    return np.sqrt(N - 1.0) * s / np.sqrt((1.0 - s) * (1.0 + s))
 
 
 class TestBlockedMultiplier:
@@ -514,11 +557,17 @@ class TestBlockedMultiplier:
     @pytest.mark.parametrize("sd_method", ["t", "regular"])
     @pytest.mark.parametrize("weights", ["rademacher", "gaussian", "mammen"])
     def test_equals_blocked_reference_exactly(self, weights, sd_method):
-        # eps is built one operation at a time in a reused buffer and the
-        # studentized max divides without a mask; neither changes a bit
+        # Gaussian and Mammen t: eps is built one operation at a time in a
+        # reused buffer, the studentized max divides without a mask and the
+        # residuals are scaled by powers of two; none of these changes a bit.
+        # The rest: the GEMM into a reused buffer and the in-place abs give
+        # the bits of the plain scaled-GEMM rule
         samples = substream(36).standard_normal((30, 3 * _SPOT_BLOCK + 17))
         got = multiplier_max_stats(samples, 300, weights, sd_method, rng=substream(37))
-        want = blocked_multiplier_max(samples, 300, weights, sd_method, substream(37))
+        if sd_method == "t" and weights != "rademacher":
+            want = blocked_multiplier_max(samples, 300, weights, substream(37))
+        else:
+            want = scaled_gemm_multiplier_max(samples, 300, weights, sd_method, substream(37))
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("weights", ["rademacher", "gaussian", "mammen"])
@@ -526,12 +575,24 @@ class TestBlockedMultiplier:
         # N = 30: a replicate whose N multipliers are all equal has a
         # maximum of pure rounding error, which no relative bound can compare
         samples = substream(32).standard_normal((30, 2, 150))
-        runs = []
-        for width in (1, 7, _SPOT_BLOCK):
-            monkeypatch.setattr(functional, "_SPOT_BLOCK", width)
-            runs.append(multiplier_max_stats(samples, 200, weights, "t", rng=substream(33)))
-        for other in runs[:-1]:
-            np.testing.assert_allclose(other, runs[-1], rtol=1e-13, atol=0)
+        for sd_method in ("t", "regular"):
+            runs = []
+            for width in (1, 7, _SPOT_BLOCK):
+                monkeypatch.setattr(functional, "_SPOT_BLOCK", width)
+                runs.append(multiplier_max_stats(samples, 200, weights, sd_method, rng=substream(33)))
+            for other in runs[:-1]:
+                np.testing.assert_allclose(other, runs[-1], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    @pytest.mark.parametrize("sd_method", ["t", "regular"])
+    @pytest.mark.parametrize("weights", ["rademacher", "gaussian", "mammen"])
+    def test_extreme_scales_give_the_unit_scale_maxima(self, weights, sd_method, scale):
+        # squares of residuals this large overflow and this small lose their
+        # digits; the statistic does not change under a per-spot scale
+        samples = substream(38).standard_normal((30, _SPOT_BLOCK + 9))
+        want = multiplier_max_stats(samples, 200, weights, sd_method, rng=substream(39))
+        got = multiplier_max_stats(samples * scale, 200, weights, sd_method, rng=substream(39))
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     def test_memory_does_not_grow_with_replicates_times_spots(self):
         # 200 x 200 spots, N = 60, n_boot = 2000: one (n_boot, spots) array
