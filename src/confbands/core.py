@@ -343,24 +343,36 @@ def _zero_se_rule(dev, se):
 # ---------------------------------------------------------------------------
 #
 # Canonical JSON: fixed key order, ", " and ": " separators, floats at 17
-# significant digits, NaN (masked cells) as null; +-inf is refused.
-# load -> save round-trips byte-identically.
+# significant digits, NaN (masked cells) as null, booleans as true/false;
+# +-inf is refused. load -> save round-trips byte-identically.
+
+# "true, " is NUL-padded to the width of "false, "; the padding is dropped
+_BOOL_TEXT = np.array([b"false, ", b"true, "])
 
 
 def _emit(obj) -> str:
-    """Canonical JSON text of ``obj``. Only dicts and lists/tuples recurse;
-    each numpy leaf is formatted in one pass over its values."""
+    """Canonical JSON text of ``obj``. Dicts, lists/tuples and the rows of
+    an array of two or more dimensions recurse; each 0-d or 1-d numpy leaf
+    is formatted in one pass over its values. A boolean leaf indexes the
+    byte table ``_BOOL_TEXT`` with its flags (the index clipped to 0 or 1).
+    A float leaf goes through one ``%`` over a repeated "%.17g, ", with NaN
+    written as null and +-inf refused. Everything else is written as
+    ``json.dumps`` writes it."""
     if isinstance(obj, dict):
         return "{" + ", ".join(f"{json.dumps(str(k))}: {_emit(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)) or np.ndim(obj) > 1:
         return "[" + ", ".join(map(_emit, obj)) + "]"
-    if isinstance(obj, (np.ndarray, np.generic)) and obj.dtype.kind != "f":
-        return json.dumps(obj.tolist())
-    if not isinstance(obj, (float, np.floating, np.ndarray)):
-        return json.dumps(obj)
-    if np.isinf(obj).any():
-        raise ValueError("non-finite value in JSON output")
-    text = ", ".join(map("%.17g".__mod__, np.ravel(obj).tolist())).replace("nan", "null")
+    kind = obj.dtype.kind if isinstance(obj, (np.ndarray, np.generic)) else None
+    if kind == "b":
+        flags = np.atleast_1d(obj).view(np.uint8)
+        text = _BOOL_TEXT.take(flags, mode="clip").tobytes().replace(b"\0", b"").decode()[:-2]
+    elif kind == "f" or isinstance(obj, float):
+        if np.isinf(obj).any():
+            raise ValueError("non-finite value in JSON output")
+        values = np.ravel(obj).tolist()
+        text = ("%.17g, " * len(values) % tuple(values))[:-2].replace("nan", "null")
+    else:
+        return json.dumps(obj if kind is None else obj.tolist())
     return text if np.ndim(obj) == 0 else "[" + text + "]"
 
 

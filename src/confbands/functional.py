@@ -632,8 +632,9 @@ def multiplier_max_stats(
     across replicates; ``"t"`` recomputes the SD from the perturbed sample
     {g_n R_n} per replicate (absolute value inside the square root for
     numerical stability). Cells where both numerator and SD vanish
-    contribute 0; a replicate with a zero SD against a nonzero numerator
-    raises "degenerate SE".
+    contribute 0, as does every spot whose N values are all equal; a
+    replicate with a zero SD against a nonzero numerator raises
+    "degenerate SE".
 
     Each spot's residuals are first scaled by an exact power of two, so that
     their squares neither overflow nor underflow; no statistic changes under
@@ -668,6 +669,9 @@ def multiplier_max_stats(
         raise ValueError(f"unknown sd_method {sd_method!r}")
     flat = samples.reshape(N, -1)
     R = flat - flat.mean(axis=0)
+    # a spot of N equal values contributes 0, also where its mean rounds
+    # and would leave equal residuals of rounding size for the rescale to blow up
+    R[:, (flat == flat[0]).all(axis=0)] = 0.0
     R *= np.sqrt(N / (N - 1.0))
     # exact powers of two: no statistic moves, and R**2 neither overflows nor underflows
     np.ldexp(R, -np.frexp(np.abs(R).max(axis=0))[1], out=R)

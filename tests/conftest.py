@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -5,6 +7,20 @@ from hypothesis.extra import numpy as hnp
 
 from confbands.core import Domain, assemble_band
 from confbands.functional import FunctionalDataset
+
+
+def per_element_json(obj) -> str:
+    """Reference emitter, one element at a time: floats at 17 significant
+    digits, NaN as null, everything else as json.dumps writes it."""
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {per_element_json(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, np.ndarray):
+        return per_element_json(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(per_element_json(v) for v in obj) + "]"
+    if isinstance(obj, float):
+        return "null" if np.isnan(obj) else format(obj, ".17g")
+    return json.dumps(obj.item() if isinstance(obj, np.generic) else obj)
 
 
 def random_band(rng, kind="grid1d", max_len=200, max_side=30, masked=False):

@@ -21,7 +21,7 @@ from confbands.core import (
     empirical_quantile,
     substream,
 )
-from conftest import bands, random_band
+from conftest import bands, per_element_json, random_band
 
 
 class TestEmpiricalQuantile:
@@ -439,22 +439,6 @@ class TestBandJson:
             band_from_json("[1, 2]")
 
 
-def _per_element(obj) -> str:
-    """Reference emitter, one element at a time: floats at 17 significant
-    digits, NaN as null, everything else as json.dumps writes it."""
-    import json
-
-    if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(k)}: {_per_element(v)}" for k, v in obj.items()) + "}"
-    if isinstance(obj, np.ndarray):
-        return _per_element(obj.tolist())
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_per_element(v) for v in obj) + "]"
-    if isinstance(obj, float):
-        return "null" if np.isnan(obj) else format(obj, ".17g")
-    return json.dumps(obj.item() if isinstance(obj, np.generic) else obj)
-
-
 _finite_or_nan = st.floats(allow_infinity=False)
 
 
@@ -481,7 +465,51 @@ class TestJsonProperties:
     def test_emitter_matches_per_element_oracle(self, floats, ints, flags, mixed, scalar):
         doc = {"floats": floats, "ints": ints, "flags": flags, "mixed": mixed,
                "scalar": scalar, "np_scalar": np.float64(scalar), "nested": {"t": (1, None)}}
-        assert emit_json(doc) == _per_element(doc) + "\n"
+        assert emit_json(doc) == per_element_json(doc) + "\n"
+
+    @given(hnp.arrays(bool, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=40)),
+           st.integers(2, 5), st.booleans())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_bool_arrays_match_per_element_oracle(self, flags, step, scalar):
+        # 2-D arrays go row by row; strided, reversed and transposed views
+        # are not contiguous
+        wide = np.atleast_1d(flags)
+        doc = {"flags": flags, "strided": wide[..., ::step], "reversed": wide[..., ::-1],
+               "transposed": wide.T, "zero_d": np.array(scalar), "np_scalar": np.bool_(scalar)}
+        assert emit_json(doc) == per_element_json(doc) + "\n"
+
+    @pytest.mark.parametrize("size", [2047, 3600, 5001])
+    def test_large_bool_arrays_match_per_element_oracle(self, rng, size):
+        flags = rng.random(size) < 0.4
+        doc = {"flags": flags, "strided": flags[1::3], "reversed": flags[::-1],
+               "grid": flags[:size // 60 * 60].reshape(-1, 60),
+               "all_true": np.ones(size, bool), "all_false": np.zeros(size, bool)}
+        assert emit_json(doc) == per_element_json(doc) + "\n"
+
+    def test_bool_bytes_other_than_0_and_1_read_as_true(self):
+        # a bool view of raw bytes: every nonzero byte is True, as tolist says
+        flags = np.array([0, 1, 2, 255, 0, 7], dtype=np.uint8).view(bool)
+        doc = {"flags": flags, "strided": flags[::2], "grid": flags.reshape(2, 3)}
+        assert emit_json(doc) == per_element_json(doc) + "\n"
+        assert emit_json({"f": flags}) == '{"f": [false, true, true, true, false, true]}\n'
+
+    def test_empty_and_zero_d_leaves_match_per_element_oracle(self):
+        doc = {"bools": np.zeros(0, bool), "floats": np.zeros(0), "ints": np.zeros(0, np.int64),
+               "rows": np.zeros((0, 3), bool), "empty_rows": np.zeros((3, 0), bool),
+               "float_rows": np.zeros((2, 0)), "true": np.array(True), "false": np.array(False),
+               "bool_true": np.bool_(True), "bool_false": np.bool_(False),
+               "float": np.array(-2.5), "nan": np.array(np.nan), "int": np.array(7),
+               "np_int": np.int64(-3)}
+        assert emit_json(doc) == per_element_json(doc) + "\n"
+
+    def test_special_floats_match_per_element_oracle(self):
+        values = np.array([np.nan, -0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+                           2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
+                           -1.7976931348623157e308, -np.nan, 0.1, 1.0, -1e16, 123456789.0])
+        doc = {"values": values, "strided": values[::3], "reversed": values[::-1],
+               "grid": values[:16].reshape(4, 4).T, "neg_zero": np.array(-0.0),
+               "subnormal": np.float64(5e-324), "big": -1e308, "nan": float("nan")}
+        assert emit_json(doc) == per_element_json(doc) + "\n"
 
     @given(hnp.arrays(float, st.integers(1, 30), elements=_finite_or_nan),
            st.data(), st.sampled_from([np.inf, -np.inf]))

@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confbands.core import Domain, SCBand, assemble_band
+from confbands.core import Domain, SCBand, assemble_band, band_to_json
 from confbands.regions import (
     ThresholdSpec,
     check_containment,
@@ -16,7 +18,7 @@ from confbands.regions import (
     regions_to_json,
     true_region,
 )
-from conftest import bands, random_band
+from conftest import bands, per_element_json, random_band
 
 
 def band_from_surfaces(low, eta, up):
@@ -274,6 +276,38 @@ class TestRegionJson:
         band = random_band(rng, "grid2d", max_side=6, masked=True)
         text = regions_to_json(invert_levels(band, spec), band.domain)
         assert regions_to_json(regions_from_json(text), band.domain) == text
+
+    def test_golden_bytes_of_a_masked_two_sided_inversion(self):
+        # exact dyadic inputs and IEEE arithmetic: the same text on every host
+        i, j = np.meshgrid(np.arange(12.0), np.arange(9.0), indexing="ij")
+        mask = ((i + j) % 7 != 0) & ~((i < 3) & (j < 2))
+        domain = Domain.grid2d(np.arange(12.0) / 4, np.arange(9.0) / 2 - 1, mask=mask)
+        band = assemble_band((i - 5.5) * (j - 4.0) / 8.0, 0.25 + (i + 2 * j) / 64.0, 2.5, 1.0,
+                             0.05, domain)
+        rs = invert_levels(band, ThresholdSpec("two_sided", (-1.5, 0.0, 0.75, 2.0)))
+        text = regions_to_json(rs, domain)
+        assert text == per_element_json({
+            "set_type": "two_sided",
+            "set_types": ["upper", "lower"] * 4,
+            "levels": [-1.5, -1.5, 0.0, 0.0, 0.75, 0.75, 2.0, 2.0],
+            "inner": [r.inner.ravel() for r in rs],
+            "outer": [r.outer.ravel() for r in rs],
+            "estimate": [r.estimate.ravel() for r in rs],
+            "shape": [12, 9],
+        }) + "\n"
+        assert regions_to_json(regions_from_json(text), domain) == text
+        band_text = band_to_json(band)
+        assert band_text == per_element_json({
+            "domain": {"kind": "grid2d", "coords1": domain.coords1, "coords2": domain.coords2,
+                       "labels": None, "mask": mask.ravel()},
+            "shape": [12, 9], "link": "identity",
+            "eta_hat": band.eta_hat.ravel(), "se": band.se.ravel(),
+            "q_alpha": 2.5, "tau": 1.0, "alpha": 0.05,
+            "scb_low": band.scb_low.ravel(), "scb_up": band.scb_up.ravel(),
+        }) + "\n"
+        # the digests of the per-element writer's texts (json.dumps of each mask's list)
+        digests = [hashlib.sha256(t.encode()).hexdigest()[:16] for t in (text, band_text)]
+        assert digests == ["8b29d201e26ef602", "af6a9b7a7e0e8be1"]
 
     @staticmethod
     def _doc(rng):
