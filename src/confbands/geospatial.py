@@ -4,10 +4,14 @@ multiplier bootstrap band for a linear functional of the coefficients.
 Every spot is fit by one rule, whatever its within-spot error correlation
 (AR(1), compound symmetry, an explicit covariance, or none): the design and
 the data are whitened by the inverse Cholesky factor of the spot's
-correlation, then one stack of p x p Gram inverses fits every spot. The
-inverse factor has a closed form for AR(1) and compound symmetry (none is
-AR(1) with rho = 0); an explicit covariance is factored as one stack. Spots
-that share one correlation share one whitened design and one Gram inverse.
+correlation, then one kernel fits the spots in blocks of the fixed width
+``_GLS_BLOCK``, from each block's spot-last (p, n, width) whitened design.
+The inverse factor has a closed form for AR(1) and compound symmetry (none
+is AR(1) with rho = 0); an explicit covariance is factored block by block.
+Spots that share one correlation share one (p, n, 1) whitened design and one
+Gram inverse. A short last block is padded with copies of its last spot, so
+no spot's result depends on its block-mates or on the number of spots, and
+the fit holds O(p n width + n S) memory for S spots.
 The band for eta(s) = w'beta(s) reuses the multiplier-t machinery on
 whitened per-observation contributions, with one multiplier draw per
 observation shared across spots.
@@ -25,6 +29,10 @@ from .core import (
     empirical_quantile, substream,
 )
 from .functional import multiplier_max_stats
+
+# spots per block of the GLS fit; a constant, so no spot's result depends on
+# the number of spots
+_GLS_BLOCK = 256
 
 __all__ = [
     "SpatialObservations",
@@ -72,9 +80,10 @@ class CorrelationSpec:
     """Within-spot error correlation: ar1(rho), comp_symm(rho), an explicit
     per-spot (or shared) covariance V, or none. ``rho=None`` requests
     estimation from lag-1 OLS residual autocorrelation, held fixed
-    afterwards. ``groups`` partitions the observation axis; correlation is
-    zero across groups. rho and groups apply to ar1 and comp_symm only, V
-    to explicit only."""
+    afterwards. ``groups`` partitions the observation axis, one label per
+    observation (numeric labels must be finite); correlation is zero across
+    groups. rho and groups apply to ar1 and comp_symm only, V to explicit
+    only."""
 
     kind: str = "none"
     rho: float | None = None
@@ -93,7 +102,11 @@ class CorrelationSpec:
         if self.rho is not None and not (-1.0 < self.rho < 1.0):
             raise ValueError("rho must lie in (-1, 1)")
         if self.groups is not None:
-            object.__setattr__(self, "groups", np.asarray(self.groups))
+            groups = np.asarray(self.groups)
+            # a NaN label equals no other label, so its observations would fall in no group
+            if groups.dtype.kind in "fc" and not np.all(np.isfinite(groups)):
+                raise ValueError("groups must be finite labels")
+            object.__setattr__(self, "groups", groups)
 
 
 def _group_slices(groups, n):
@@ -115,6 +128,33 @@ class GLSFit:
     se: np.ndarray  # (n_x, n_y)
 
 
+def _lower_pattern(kind, groups, n, rho):
+    """The pattern of the whitening map of :func:`_whiten` for n observations:
+    ``earlier[t, u]`` = 1 where a_u is part of s_t, and k_t, its row sums, as
+    an (n, 1) column. Refuses a compound-symmetry rho (which may be an array)
+    outside the positive-definite range of a group."""
+    earlier = np.zeros((n, n))
+    for idx in _group_slices(groups, n):
+        if kind == "ar1":
+            earlier[idx[1:], idx[:-1]] = 1.0
+        elif np.any(rho * (idx.size - 1) <= -1.0):
+            raise ValueError(
+                f"compound symmetry with rho={rho} is not positive definite "
+                f"for group size {idx.size}"
+            )
+        else:
+            earlier[np.ix_(idx, idx)] = np.tri(idx.size, k=-1)
+    return earlier, earlier.sum(axis=1)[:, None]
+
+
+def _innovation_weights(rho, k):
+    """b = rho / (1 + (k - 1) rho) and sqrt(1 - k rho b), the weights that
+    make a_t's standardized innovation (a_t - b_t s_t) / sqrt(1 - k_t rho b_t),
+    for k from :func:`_lower_pattern`."""
+    b = rho / (1.0 + (k - 1.0) * rho)
+    return b, np.sqrt(1.0 - k * rho * b)
+
+
 def _whiten(A, rho, kind, groups):
     """L^-1 A along axis -2 (the observations), L being the Cholesky factor
     of the AR(1) or compound-symmetry correlation with parameter rho (which
@@ -128,48 +168,55 @@ def _whiten(A, rho, kind, groups):
     group labels the map is lower triangular: it is L^-1, not just any
     square root of the inverse correlation.
     """
-    n = A.shape[-2]
-    earlier = np.zeros((n, n))  # earlier[t, u] = 1 where a_u is part of s_t
-    for idx in _group_slices(groups, n):
-        if kind == "ar1":
-            earlier[idx[1:], idx[:-1]] = 1.0
-        elif np.any(rho * (idx.size - 1) <= -1.0):
-            raise ValueError(
-                f"compound symmetry with rho={rho} is not positive definite "
-                f"for group size {idx.size}"
-            )
-        else:
-            earlier[np.ix_(idx, idx)] = np.tri(idx.size, k=-1)
-    k = earlier.sum(axis=1)[:, None]
-    b = rho / (1.0 + (k - 1.0) * rho)
-    return (A - b * (earlier @ A)) / np.sqrt(1.0 - k * rho * b)
+    earlier, k = _lower_pattern(kind, groups, A.shape[-2], rho)
+    b, d = _innovation_weights(rho, k)
+    return (A - b * (earlier @ A)) / d
 
 
-def _fit_whitened(Xw, Zw, w):
-    """GLS at every spot (column of the (n, S) whitened data Zw) from its
-    whitened design: Xw holds one (n, p) design per spot, or a single one
-    that every spot shares. One stack of p x p Gram inverses, one per design.
-
-    Returns (beta, se, contrib, singular): the (p, S) coefficients, the SE
-    of w'beta, the (n, S) whitened per-observation contributions, and one
-    flag per spot whose whitened design is singular (when any is set, the
-    other three are None).
-    """
-    n, S = Zw.shape
-    XwT = Xw.transpose(0, 2, 1)
-    gram = XwT @ Xw
+def _gram_inverse(U):
+    """Inverse Gram matrix of each spot of a block from its spot-last
+    whitened design U, (p, n, width), as a (p, p, width) array, and None; or
+    None and one flag per spot whose Gram matrix is singular. The p(p+1)/2
+    distinct entries are elementwise products summed over the observations."""
+    p = U.shape[0]
+    gram = np.empty((p, p, U.shape[2]))
+    for i in range(p):
+        for j in range(i + 1):
+            gram[i, j] = gram[j, i] = np.add.reduce(U[i] * U[j], axis=0)
+    gram = gram.transpose(2, 0, 1)
     try:
-        XtX_inv = np.linalg.inv(gram)
+        return np.ascontiguousarray(np.linalg.inv(gram).transpose(1, 2, 0)), None
     except np.linalg.LinAlgError:
         # det and inv share one LU factorization: det is 0 where inv meets a zero pivot
-        return None, None, None, np.broadcast_to(np.linalg.det(gram) == 0.0, (S,))
-    beta = (XtX_inv @ (XwT @ Zw.T[:, :, None]))[:, :, 0]  # (S, p)
-    resid = Zw - (Xw @ beta[:, :, None])[:, :, 0].T
-    c = XtX_inv @ w  # (S, p), or (1, p) for a shared design
-    sigma2 = np.einsum("ns,ns->s", resid, resid) / (n - Xw.shape[-1])
-    se = np.sqrt(np.maximum(sigma2 * (c @ w), 0.0))
-    contrib = n * (Xw @ c[:, :, None])[:, :, 0].T * resid
-    return beta.T, se, contrib, np.zeros(S, dtype=bool)
+        return None, np.linalg.det(gram) == 0.0
+
+
+def _fit_block(U, G, zw, w):
+    """GLS at each spot (column) of a block of whitened data zw, (n, width),
+    from its spot-last whitened design U, (p, n, width), and inverse Gram
+    matrix G, (p, p, width); U of shape (p, n, 1) and G of (p, p, 1) are one
+    design that every spot of the block shares.
+
+    For spots of their own designs, every product is elementwise and every
+    sum runs over one axis of length n or p; a shared design's products are
+    GEMMs of a fixed shape. Either way a spot's results do not depend on its
+    block-mates. Returns the (p, width) coefficients, the value and SE of w'beta, and the
+    (n, width) whitened per-observation contributions.
+    """
+    p, n = U.shape[:2]
+    if U.shape[2] == 1:  # one design for the whole block: its products are GEMMs
+        D, Gs = U[:, :, 0], G[:, :, 0]
+        beta = Gs @ (D @ zw)
+        resid = zw - D.T @ beta
+        c = (Gs @ w)[:, None]
+    else:
+        beta = np.add.reduce(G * np.add.reduce(U * zw, axis=1), axis=1)  # G X'z
+        resid = zw - np.add.reduce(U * beta[:, None], axis=0)
+        c = np.add.reduce(G * w[:, None], axis=1)  # G w
+    sigma2 = np.add.reduce(resid * resid, axis=0) / (n - p)
+    se = np.sqrt(np.maximum(sigma2 * np.add.reduce(c * w[:, None], axis=0), 0.0))
+    contrib = n * np.add.reduce(U * c[:, None], axis=0) * resid
+    return beta, np.add.reduce(beta * w[:, None], axis=0), se, contrib
 
 
 def _estimate_rho(resid: np.ndarray, kind: str, groups) -> np.ndarray:
@@ -203,17 +250,20 @@ def fit_gls_grid(
 ) -> tuple[GLSFit, np.ndarray]:
     """Fit GLS at every unmasked spot.
 
-    Every correlation kind takes one path: the design and the data are
-    whitened by the inverse Cholesky factor of each spot's correlation (in
-    closed form for none, AR(1) and compound symmetry, with rho fixed or
-    estimated per spot and any group labels; by one stacked Cholesky
-    factorization for an explicit V), then one stack of p x p solves fits
-    every spot. Spots that share one correlation (none, a fixed rho, an
-    (n, n) V) share one whitened design and one Gram inverse. Returns the
-    per-spot fit fields together with the (n_obs, n_spots) matrix of
-    whitened per-observation contributions to eta_hat, used by the
-    multiplier bootstrap. Any spot failure aborts with the offending
-    coordinates listed.
+    Every correlation kind takes one path, in blocks of ``_GLS_BLOCK`` spots:
+    the design and the data are whitened by the inverse Cholesky factor of
+    each spot's correlation (in closed form for none, AR(1) and compound
+    symmetry, with rho fixed or estimated per spot and any group labels; by
+    a Cholesky factorization per spot of the block for an explicit V), then
+    one kernel fits the block from its spot-last (p, n, width) whitened
+    design. Spots that share one correlation (none, a fixed rho, an (n, n)
+    V) share one (p, n, 1) whitened design and one Gram inverse. Beyond its
+    outputs, a fit holds O(p n width) memory. Returns the per-spot fit
+    fields together with the (n_obs, n_spots) matrix of whitened
+    per-observation contributions to eta_hat, used by the multiplier
+    bootstrap. Any spot failure aborts with the offending coordinates
+    listed: every spot whose V is not positive definite, else every spot
+    whose whitened design is singular.
     """
     X = np.asarray(design, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -229,37 +279,91 @@ def fit_gls_grid(
         raise ValueError("need more observations than design columns")
     corr = corr or CorrelationSpec("none")
     mask = data.domain.mask_array()
-    spots = np.argwhere(mask)
-    Z = data.values[:, mask]  # (n, n_spots), spots in the order of ``spots``
+    spots = np.argwhere(mask)  # row-major, as ``cells`` orders them
+    cells = np.flatnonzero(mask)
+    S = cells.size
+    cube = data.values.reshape(n, -1)
 
     def fail(bad, reason):  # one "(x, y): reason" entry per flagged spot; one flag may stand for all
         bad = np.broadcast_to(bad, len(spots))
         entries = [f"({data.x[i]:g}, {data.y[j]:g}): {reason}" for i, j in spots[bad]]
         raise ValueError("GLS fit failed at spots: " + "; ".join(entries))
 
+    not_pd = np.zeros(S, dtype=bool)
+    shared = None  # the (p, n, 1) whitened design of spots that share one correlation
     if corr.kind == "explicit":
         V = np.asarray(corr.V, dtype=float)
         if V.shape not in ((n, n), mask.shape + (n, n)):
             raise ValueError(
                 f"V must have shape ({n}, {n}) or {mask.shape + (n, n)}, got {V.shape}"
             )
-        V = V[None] if V.ndim == 2 else V[mask]  # one V for all spots, or one per spot
-        if not np.all(np.isfinite(V)):
-            raise ValueError("V must be finite at unmasked spots")
-        try:
-            Linv = np.linalg.inv(np.linalg.cholesky(V))
-        except np.linalg.LinAlgError:  # the stack fails as a whole: factor it V by V
-            not_pd = [scipy.linalg.lapack.dpotrf(v, lower=True)[1] != 0 for v in V]
-            fail(not_pd, "covariance V is singular or not positive definite")
-        Xw, Zw = Linv @ X, (Linv @ Z.T[:, :, None])[:, :, 0].T
+        if V.ndim == 2:
+            if not np.all(np.isfinite(V)):
+                raise ValueError("V must be finite at unmasked spots")
+            try:
+                Linv = np.linalg.inv(np.linalg.cholesky(V))
+            except np.linalg.LinAlgError:
+                fail(True, "covariance V is singular or not positive definite")
+            shared = np.ascontiguousarray((Linv @ X).T)[:, :, None]
+        else:
+            V = V.reshape(-1, n, n)
+
+        def whiten(cols, z):
+            if shared is not None:
+                return shared, Linv @ z
+            Vb = V[cells[cols]]
+            if not np.all(np.isfinite(Vb)):
+                raise ValueError("V must be finite at unmasked spots")
+            try:
+                Linv_b = np.linalg.inv(np.linalg.cholesky(Vb))
+            except np.linalg.LinAlgError:  # the block fails as a whole: factor it V by V
+                not_pd[cols] = [scipy.linalg.lapack.dpotrf(v, lower=True)[1] != 0 for v in Vb]
+                return None, None
+            U = np.ascontiguousarray((Linv_b @ X).transpose(2, 1, 0))
+            return U, np.ascontiguousarray((Linv_b @ z.T[:, :, None])[:, :, 0].T)
     else:
         kind = "ar1" if corr.kind == "none" else corr.kind  # none is AR(1) with rho = 0
         rho = 0.0 if corr.kind == "none" else corr.rho
+        # before any fit, so a bad fixed rho is named as given; an estimated
+        # compound-symmetry rho lies in [0, 0.99], inside every group's range
+        earlier, k = _lower_pattern(kind, corr.groups, n, 0.0 if rho is None else rho)
+        XT = np.ascontiguousarray(X.T)[:, :, None]
+        YT = np.ascontiguousarray((earlier @ X).T)[:, :, None]
         if rho is None:
-            rho = _estimate_rho(Z - X @ (np.linalg.pinv(X) @ Z), kind, corr.groups)
-        Zw = _whiten(Z, rho, kind, corr.groups)  # before X, so a bad fixed rho is named as given
-        Xw = _whiten(X, np.reshape(rho, (-1, 1, 1)), kind, corr.groups)
-    beta, se, contrib, singular = _fit_whitened(Xw, Zw, w)
+            ols = np.linalg.pinv(X)
+        else:
+            b, d = _innovation_weights(rho, k)
+            shared = (XT - b * YT) / d
+
+        def whiten(cols, z):
+            if shared is not None:
+                return shared, (z - b * (earlier @ z)) / d
+            bb, db = _innovation_weights(_estimate_rho(z - X @ (ols @ z), kind, corr.groups), k)
+            return (XT - bb * YT) / db, (z - bb * (earlier @ z)) / db
+
+    if shared is not None:
+        G, singular = _gram_inverse(shared)
+        if G is None:
+            fail(singular, "design matrix is singular")  # one Gram matrix serves every spot
+    beta, eta, se, contrib = np.empty((p, S)), np.empty(S), np.empty(S), np.empty((n, S))
+    singular = np.zeros(S, dtype=bool)
+    for first in range(0, S, _GLS_BLOCK):
+        # a block of fixed width; copies of the last spot pad a short last
+        # block, and their flags, the same as that spot's, land on it
+        cols = np.minimum(np.arange(first, first + _GLS_BLOCK), S - 1)
+        m = min(_GLS_BLOCK, S - first)
+        U, zw = whiten(cols, cube[:, cells[cols]])
+        if U is None:  # not positive definite at some spot of the block
+            continue
+        if shared is None:
+            G, bad = _gram_inverse(U)
+            if G is None:
+                singular[cols] = bad
+                continue
+        for out, values in zip((beta, eta, se, contrib), _fit_block(U, G, zw, w)):
+            out[..., first:first + m] = values[..., :m]
+    if not_pd.any():
+        fail(not_pd, "covariance V is singular or not positive definite")
     if singular.any():
         fail(singular, "design matrix is singular")
 
@@ -268,7 +372,7 @@ def fit_gls_grid(
         out[mask] = values
         return out
 
-    return GLSFit(on_grid(beta.T), on_grid(w @ beta), on_grid(se)), contrib
+    return GLSFit(on_grid(beta.T), on_grid(eta), on_grid(se)), contrib
 
 
 def scb_gls(

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,6 +317,22 @@ class TestRefusedInput:
             fit_gls_grid(data, X, [1.0, 0, 0, 0], CorrelationSpec("comp_symm", rho=-0.1, groups=groups))
         assert str(info.value) == "compound symmetry with rho=-0.1 is not positive definite for group size 16"
 
+    @pytest.mark.parametrize("label", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("rho", [0.3, None], ids=["fixed", "estimated"])
+    @pytest.mark.parametrize("kind", ["ar1", "comp_symm"])
+    def test_non_finite_group_labels(self, kind, rho, label):
+        # a NaN label equals no label, not even itself: its observations once
+        # fell into no group and were fitted as uncorrelated singletons
+        groups = np.repeat([0.0, 1.0, 2.0], [4, 6, 10])
+        groups[4:6] = label
+        with pytest.raises(ValueError) as info:
+            CorrelationSpec(kind, rho, groups=groups)
+        assert str(info.value) == "groups must be finite labels"
+        groups[4:6] = 1.0
+        data, X, _ = planted_field(nx=3, ny=2, n_obs=20, noise=0.5, seed=9)
+        fit, _ = fit_gls_grid(data, X, [1.0, 0, 0, 0], CorrelationSpec(kind, rho, groups=groups))
+        assert np.all(np.isfinite(fit.se))
+
 
 class TestExplicitPerSpotCovariance:
     def test_per_spot_array(self):
@@ -487,6 +504,25 @@ class TestGridMatchesSpotOracle:
             "GLS fit failed at spots: (2, 1): covariance V is singular or not positive definite"
         )
 
+    @pytest.mark.parametrize("singular", [False, True], ids=["regular", "singular_design"])
+    @pytest.mark.parametrize("bad", [[(18, 10)], [(2, 3), (18, 10)]], ids=["later_block", "two_blocks"])
+    def test_non_pd_spot_in_a_later_block(self, bad, singular):
+        # 300 spots span two blocks; spot (18, 10) is the 281st. Every non-PD
+        # spot is listed, and before a singular design
+        assert geospatial._GLS_BLOCK < 18 * 15 + 10 < 2 * geospatial._GLS_BLOCK
+        data, X, _ = planted_field(nx=20, ny=15, n_obs=20, noise=0.5, seed=9)
+        V = np.broadcast_to(np.eye(20), (20, 15, 20, 20)).copy()
+        for i, j in bad:
+            V[i, j, 3, 3] = -1.0
+        X = X.copy()
+        if singular:
+            X[:, 2] = 0.0
+        with pytest.raises(ValueError) as info:
+            fit_gls_grid(data, X, [1.0, 0, 0, 0], CorrelationSpec("explicit", V=V))
+        assert str(info.value) == "GLS fit failed at spots: " + "; ".join(
+            f"({i}, {j}): covariance V is singular or not positive definite" for i, j in bad
+        )
+
     def test_closed_form_kinds_build_no_correlation_matrix(self, monkeypatch):
         # no (n, n) correlation is written out, so none is factored either
         calls = []
@@ -530,3 +566,82 @@ class TestGridMatchesSpotOracle:
             fit_gls_grid(data, X, [1.0, 0, 0, 0],
                          CorrelationSpec("explicit", V=np.zeros((20, 20))))
         assert str(info.value).count("not positive definite") == 6
+
+
+class TestSpotIndependence:
+    """A spot's fit does not depend on its block-mates, its position in a
+    block, the padding of a short last block or the number of spots, so no
+    result depends on the grid size. Like TestRowwise, part of this rests on
+    the BLAS kernels giving a column of a fixed-shape product the same bits
+    wherever it sits, which no API promises."""
+
+    N = 20
+    CASES = ["ar1_estimated_groups", "ar1_fixed", "comp_symm_estimated", "explicit_per_spot"]
+
+    def spec(self, case, V):
+        if case == "explicit_per_spot":
+            return CorrelationSpec("explicit", V=V)
+        if case == "ar1_fixed":
+            return CorrelationSpec("ar1", rho=0.4)
+        return CorrelationSpec(case.split("_estimated")[0], groups=np.repeat([0, 1, 2, 3], 5))
+
+    def fit(self, case, X, w, columns, V, spot):
+        # the spots lie on an (S, 1) grid in the order of the columns
+        S = columns.shape[1]
+        data = SpatialObservations(np.arange(S, dtype=float), np.zeros(1), columns[:, :, None])
+        fit, contrib = fit_gls_grid(data, X, w, self.spec(case, V[:, None]))
+        return [fit.beta[spot, 0], fit.eta[spot, 0], fit.se[spot, 0], contrib[:, spot]]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_spot_independent_of_block(self, case):
+        rng = np.random.default_rng(41)
+        n, width = self.N, geospatial._GLS_BLOCK
+        X = np.column_stack([np.ones(n), np.linspace(-1, 1, n), rng.standard_normal((n, 2))])
+        w = np.array([1.0, 0.5, 0.0, -1.0])
+        shared = np.repeat(rng.standard_normal((4, 1)), 5, axis=0)  # a group effect per spot
+        mates = (rng.standard_normal((n, 2 * width)) + shared) * rng.uniform(0.01, 100, 2 * width)
+        mate_V = np.stack([build_correlation(CorrelationSpec("ar1", rho=r), n)
+                           for r in rng.uniform(-0.9, 0.9, 2 * width)])
+        z = rng.standard_normal(n) * 3.0 + shared[:, 0]
+        Vz = build_correlation(CorrelationSpec("comp_symm", rho=0.3, groups=np.arange(n) % 4), n)
+        alone = self.fit(case, X, w, z[:, None], Vz[None], 0)
+        if case == "explicit_per_spot":
+            V = Vz
+        elif case == "ar1_fixed":
+            V = build_correlation(CorrelationSpec("ar1", rho=0.4), n)
+        else:  # the spot's own rho estimate, from the oracle of the spot rule
+            spec = self.spec(case, None)
+            rho = _per_spot_rho(z - X @ (np.linalg.pinv(X) @ z), spec.kind, spec.groups)
+            V = build_correlation(CorrelationSpec(spec.kind, rho=rho, groups=spec.groups), n)
+        beta, cov = fit_gls_spot(X, z, V)
+        np.testing.assert_allclose(alone[0], beta, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(alone[2], np.sqrt(w @ cov @ w), rtol=0, atol=1e-12)
+        for pos in (0, 1, 37, width - 1):
+            # in the first block, in the second, and last in a short last
+            # block padded from its end; pos = 0 leaves a last block of one spot
+            for spot, count in ((pos, width), (width + pos, 2 * width), (width + pos, width + pos + 1)):
+                columns, V = mates[:, :count].copy(), mate_V[:count].copy()
+                columns[:, spot], V[spot] = z, Vz
+                got = self.fit(case, X, w, columns, V, spot)
+                for g, a in zip(got, alone):
+                    assert g.tobytes() == a.tobytes()
+
+
+def test_estimated_fit_memory():
+    # 200 x 200 spots, n = 60, p = 4: the whitened design as one (S, n, p)
+    # stack alone took 73 MiB, and this call's tracemalloc peak was 220.8 MiB
+    # when the design was whitened and fitted as such stacks. In fixed-width
+    # blocks, little more than the (n, S) contributions is left
+    n = 60
+    rng = substream(40)
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, 3))])
+    data = SpatialObservations(np.arange(200.0), np.arange(200.0), rng.standard_normal((n, 200, 200)))
+    tracemalloc.start()
+    try:
+        fit, contrib = fit_gls_grid(data, X, [1.0, 0, 0, 0], CorrelationSpec("ar1"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(fit.se)) and contrib.shape == (n, 40_000)
+    assert peak < 0.5 * 220.8 * 2**20
+    assert peak < contrib.nbytes + 16 * 2**20
