@@ -200,8 +200,8 @@ def _fit_block(U, G, zw, w):
     For spots of their own designs, every product is elementwise and every
     sum runs over one axis of length n or p; a shared design's products are
     GEMMs of a fixed shape. Either way a spot's results do not depend on its
-    block-mates. Returns the (p, width) coefficients, the value and SE of w'beta, and the
-    (n, width) whitened per-observation contributions.
+    block-mates. Returns the (p, width) coefficients, the value and SE of
+    w'beta, and the (n, width) whitened per-observation contributions.
     """
     p, n = U.shape[:2]
     if U.shape[2] == 1:  # one design for the whole block: its products are GEMMs
