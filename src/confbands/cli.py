@@ -161,10 +161,10 @@ def _cmd_scb_fosr(args):
         raise ValueError(f"--pve must lie in (0, 1], got {args.pve}")
     if args.nboot is not None and args.nboot < 1:
         raise ValueError(f"n_boot must be at least 1, got {args.nboot}")
+    subset = functional.SubsetSpec.parse(args.subset)
     data = _load_fosr_csv(args.data)
     fit = functional.fit_fosr(data, k_basis=args.kbasis, pve=args.pve)
     target = "fitted_mean" if args.fitted == "true" else "coefficient"
-    subset = functional.SubsetSpec.parse(args.subset)
     _progress(args, f"estimating {target} band by {args.method}")
     boot = {} if args.nboot is None else {"n_boot": args.nboot}  # else each method's default
     if args.method == "cma":

@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass, fields
 
 import numpy as np
+import scipy.linalg
 
 __all__ = [
     "Domain",
@@ -245,6 +246,24 @@ def _check_alpha(alpha: float) -> None:
     call this before any fit or draw."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
+def _check_rank(X: np.ndarray, names) -> None:
+    """Refuse a design matrix whose columns are numerically dependent,
+    naming every column of each dependency. Pivoted QR puts a set of
+    independent columns first; every later column is a combination of them,
+    and is named with the leading columns that carry a share of it."""
+    _, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    tol = max(X.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
+    rank = int(np.sum(diag > tol))
+    if rank < X.shape[1]:
+        lead, rest = piv[:rank], piv[rank:]
+        weights = scipy.linalg.solve_triangular(R[:rank, :rank], R[:rank, rank:])
+        share = np.abs(weights) * np.linalg.norm(X[:, lead], axis=0)[:, None]
+        used = lead[(share > 1e-8 * np.linalg.norm(X[:, rest], axis=0)).any(axis=1)]
+        bad = ", ".join(names[j] for j in sorted([*used, *rest]))
+        raise ValueError(f"design is rank deficient; collinear columns: {bad}")
 
 
 def empirical_quantile(samples, level: float) -> float:

@@ -2,13 +2,15 @@
 effects, and simultaneous bands for fitted mean-outcome and coefficient
 functions.
 
-Fitting is a three-step scheme: (1) penalized B-spline least squares for the
-mean model with GCV-selected smoothing, (2) FPCA of the residual process by
-eigendecomposition of its pairwise-complete covariance, (3) a refit that adds
-per-subject score terms as ridge-penalized coefficients (the random-effect
-equivalent). The coefficient covariance comes from leave-one-subject-out
-contributions: each leave-out reruns all three steps without the subject,
-through the same refit as the fit itself, for any pattern of missing cells.
+Fitting is a three-step scheme of module functions of explicit arrays: (1)
+penalized B-spline least squares for the mean model with GCV-selected
+smoothing (``_gcv``, ``_mean_curves``), (2) FPCA of the residual process by
+eigendecomposition of its pairwise-complete covariance (``_fpca_stack``), (3)
+a refit that adds per-subject score terms as ridge-penalized coefficients
+(the random-effect equivalent; ``_refit``). The coefficient covariance comes
+from leave-one-subject-out contributions: each leave-out reruns all three
+steps without the subject (the mean model at the fit's lambda), through the
+same FPCA and refit as the fit itself, for any pattern of missing cells.
 The leave-outs run in blocks of the fixed width ``_SUBJECT_BLOCK``: one
 stack of mean-model solves, one stack of covariance eigendecompositions, and
 one refit per group of leave-outs that keep the same number of components.
@@ -36,6 +38,7 @@ from .core import (
     SCBand,
     _axis,
     _check_alpha,
+    _check_rank,
     _frozen,
     _studentized_max,
     assemble_band,
@@ -190,12 +193,19 @@ class BasisModel:
 @dataclass(frozen=True)
 class SubsetSpec:
     """Covariate values pinning down the target function, parsed from
-    "<var> = <value>" fragments."""
+    "<var> = <value>" fragments; every value must be finite."""
 
     pairs: tuple
 
+    def __post_init__(self):
+        for name, value in self.pairs:
+            if not np.isfinite(value):
+                raise ValueError(f"subset value of {name!r} must be finite, got {value}")
+
     @classmethod
     def parse(cls, spec) -> "SubsetSpec":
+        if isinstance(spec, cls):
+            return spec
         if spec is None:
             return cls(())
         if isinstance(spec, str):
@@ -284,6 +294,91 @@ def _fpca_stack(E: np.ndarray, pve: float, n_components):
     return vals, vecs, K, tail / np.maximum(T - K, 1)
 
 
+def _outer(F, G):
+    """F[t] G[t]' for every row t of F and G: (..., T, k1, k2)."""
+    return F[..., :, :, None] * G[..., :, None, :]
+
+
+def _masked_gram(o, FG):
+    """F' O G for each row O of the 0/1 weights o, from FG = _outer(F, G)."""
+    out = o @ FG.reshape(FG.shape[:-2] + (-1,))
+    return out.reshape(out.shape[:-1] + FG.shape[-2:])
+
+
+def _kron_xx(xx, blocks):
+    """kron(xx[g], blocks[g]) for each g, as (g, p, p)."""
+    p = xx.shape[-1] * blocks.shape[-1]
+    return np.einsum("gab,gkl->gakbl", xx, blocks).reshape(-1, p, p)
+
+
+def _mean_curves(Xc, B, theta):
+    """Mean-model fits x_i' Theta B' of coefficients theta (..., p): (..., n, T)."""
+    return Xc @ (theta.reshape(theta.shape[:-1] + (Xc.shape[1], B.shape[1])) @ B.T)
+
+
+def _gcv(ZtZ, Zty, yty, n_obs, S):
+    """The first lambda of the ladder with the smallest finite GCV score for
+    moments Z'Z, Z'y, y'y of n_obs observations, and its coefficients, from
+    one stack of inverses (Z'Z + lambda S is singular for all or no lambda)."""
+    try:
+        Ainv = np.linalg.inv(ZtZ + _GCV_LADDER[:, None, None] * S)
+    except np.linalg.LinAlgError:
+        Ainv = np.full((_GCV_LADDER.size,) + ZtZ.shape, np.nan)  # no finite score
+    thetas = Ainv @ Zty
+    rss = np.maximum(yty - 2.0 * thetas @ Zty + ((thetas @ ZtZ) * thetas).sum(-1), 0.0)
+    denom = n_obs - np.einsum("lij,ji->l", Ainv, ZtZ)  # n_obs - tr(A^-1 Z'Z)
+    score = n_obs * rss / np.where(denom > 0, denom, np.nan) ** 2
+    best = int(np.argmin(np.where(np.isfinite(score), score, np.inf)))
+    if not np.isfinite(score[best]):
+        raise ValueError("penalized mean-model fit failed for every lambda")
+    return _GCV_LADDER[best], Ainv[best] @ Zty
+
+
+def _refit(Y0, obs, Xc, B, S, degenerate, Phi, ridge, ZtZ, Zty, keep, inverse=False):
+    """Score-augmented refit of each leave-out g on the subjects keep[g],
+    with FPCA Phi[g] (T, K), score ridge ridge[g] and mean-model moments
+    ZtZ[g], Zty[g] of those subjects; Y0 is the outcome matrix with 0 at
+    missing cells, obs its 0/1 mask. Returns the coefficients (g, p), the
+    Schur complements M (g, p, p) of the score block (the system matrices
+    minus the roughness penalty) and, with ``inverse``, the inverse system
+    matrices. Fully observed subjects share one score block per leave-out,
+    in Kronecker form; the others enter one by one. The coefficients carry
+    only the ladder-floor penalty: the GCV lambda was tuned against
+    residuals that include the subject effects, and would bias them and
+    understate their variance."""
+    J1, kb = Xc.shape[1], B.shape[1]
+    p = J1 * kb
+    complete = obs.all(axis=1)
+    partial = np.flatnonzero(~complete)
+    diag_ridge = ridge[..., None, :] * np.eye(Phi.shape[-1])  # (g, K, K)
+    pooled = (keep & complete)[:, :, None] * Xc  # (g, n, J1)
+    BtPhi = B.T @ Phi
+    H = BtPhi @ np.linalg.inv(Phi.swapaxes(-1, -2) @ Phi + diag_ridge)
+    M = ZtZ - _kron_xx(Xc.T @ pooled, H @ BtPhi.swapaxes(-1, -2))
+    rhs = Zty - (H @ (Phi.swapaxes(-1, -2) @ (Y0.T @ pooled))).swapaxes(-1, -2).reshape(-1, p)
+    if partial.size:
+        D = np.zeros((len(keep), J1 * J1, kb * kb))
+        BPhi, PhiPhi, XX = _outer(B, Phi), _outer(Phi, Phi), _outer(Xc, Xc).reshape(len(Xc), -1)
+        for lo in range(0, partial.size, _SCORE_BLOCK):
+            j = partial[lo:lo + _SCORE_BLOCK]
+            w = keep[:, j]  # (g, m)
+            C = _masked_gram(obs[j], BPhi)  # (g, m, kb, K): B' O_j Phi
+            A22 = _masked_gram(obs[j], PhiPhi) + diag_ridge[:, None]
+            A22[~w] += np.eye(Phi.shape[-1])  # a dropped subject's block is unused
+            H = C @ np.linalg.inv(A22)
+            D += (w[:, :, None] * XX[j]).swapaxes(-1, -2) @ (
+                H @ C.swapaxes(-1, -2)).reshape(len(w), len(j), -1)
+            Hy = (H @ (Y0[j] @ Phi)[..., None])[..., 0]  # (g, m, kb): H_j Phi' y_j
+            rhs -= ((w[:, :, None] * Xc[j]).swapaxes(-1, -2) @ Hy).reshape(-1, p)
+        M -= D.reshape(-1, J1, J1, kb, kb).transpose(0, 1, 3, 2, 4).reshape(-1, p, p)
+    M = 0.5 * (M + M.swapaxes(-1, -2))
+    if degenerate:  # minimum-norm least squares
+        Minv = np.linalg.pinv(M, np.finfo(float).eps * p)
+        return (Minv @ rhs[..., None])[..., 0], M, Minv
+    A = M + _GCV_LADDER[0] * S
+    return np.linalg.solve(A, rhs[..., None])[..., 0], M, np.linalg.inv(A) if inverse else None
+
+
 def fit_fosr(
     data: FunctionalDataset,
     covariates=None,
@@ -303,7 +398,9 @@ def fit_fosr(
     FPCA weights themselves (a model-posterior covariance does not). The
     leave-outs run in blocks of the fixed width ``_SUBJECT_BLOCK``, each
     block as one stack of solves and eigendecompositions; every leave-out is
-    still computed on its own, so the width never changes a result.
+    still computed on its own, so the width never changes a result. The
+    stages are ``_gcv``, ``_mean_curves``, ``_fpca_stack`` and ``_refit``.
+    ``covariates`` is one name or several (all by default); collinear ones are refused.
     """
     if data.n_subjects < 10:
         raise ValueError("need at least 10 subjects")
@@ -313,148 +410,60 @@ def fit_fosr(
         raise ValueError(f"n_components must be at least 0, got {n_components}")
     if covariates is None:
         covariates = tuple(data.covariates.keys())
-    names = tuple(covariates)
+    names = (covariates,) if isinstance(covariates, str) else tuple(covariates)
     for name in names:
         if name not in data.covariates:
             raise ValueError(f"unknown covariate {name!r}")
     n, T = data.n_subjects, data.n_times
     t = data.times
+    Xc = np.column_stack([np.ones(n)] + [data.covariates[c] for c in names])
+    _check_rank(Xc, ["intercept", *names])
     B = bspline_basis(t, k_basis)
     P = difference_penalty(k_basis)
     J1 = len(names) + 1
     p = J1 * k_basis
-    Xc = np.column_stack([np.ones(n)] + [data.covariates[c] for c in names])
     S = np.kron(np.eye(J1), P)
 
     # Subject i's design rows are Z_i = kron(x_i, B[t]) at its observed
     # times, missing cells zeroed through the 0/1 observation mask O_i (the
-    # rows of obs); Y0 is the outcome matrix with 0 at missing cells. A
-    # leading axis g, where there is one, runs over leave-outs.
+    # rows of obs); Y0 is the outcome matrix with 0 at missing cells.
     Y = data.outcomes
     obs = ~np.isnan(Y)
     Y0 = np.where(obs, Y, 0.0)
-    XX = Xc[:, :, None] * Xc[:, None, :]  # (n, J1, J1): x_i x_i'
-
-    def outer(F, G):  # (..., T, k1, k2): F[t] G[t]' at every time t
-        return F[..., :, :, None] * G[..., :, None, :]
-
-    def masked_gram(o, FG):  # F' O G for each row O of the 0/1 weights o, from FG = outer(F, G)
-        out = o @ FG.reshape(FG.shape[:-2] + (-1,))
-        return out.reshape(out.shape[:-1] + FG.shape[-2:])
-
-    def kron_x(x, blocks):  # kron(x[i], blocks[i]) for each row i
-        return np.einsum("nj,nk...->njk...", x, blocks).reshape((len(x), p) + blocks.shape[2:])
-
-    def kron_xx(xx, blocks):  # kron(xx[g], blocks[g]) for each g, as (p, p)
-        return np.einsum("gab,gkl->gakbl", xx, blocks).reshape(-1, p, p)
-
-    def mean_curves(theta):  # (..., n, T) mean-model fits x_i' Theta B'
-        return Xc @ (theta.reshape(theta.shape[:-1] + (J1, k_basis)) @ B.T)
-
-    BB = outer(B, B)
+    XX = _outer(Xc, Xc)  # (n, J1, J1): x_i x_i'
+    BB = _outer(B, B)
     ZtZ = (XX.reshape(n, -1).T @ obs @ BB.reshape(T, -1)).reshape(J1, J1, k_basis, k_basis)
     ZtZ = ZtZ.transpose(0, 2, 1, 3).reshape(p, p)
     YB = Y0 @ B  # (n, kb): B' y_i
     Zty = (Xc.T @ YB).ravel()
-    yty = float(np.sum(Y0**2))
     n_obs = int(obs.sum())
-    best = (np.inf, _GCV_LADDER[0], None)
-    for lam in _GCV_LADDER:
-        A = ZtZ + lam * S
-        try:
-            Ainv = np.linalg.inv(A)
-        except np.linalg.LinAlgError:
-            continue
-        theta = Ainv @ Zty
-        rss = max(yty - 2.0 * theta @ Zty + theta @ ZtZ @ theta, 0.0)
-        edf = float(np.trace(Ainv @ ZtZ))
-        denom = n_obs - edf
-        score = np.inf if denom <= 0 else n_obs * rss / denom**2
-        if score < best[0]:
-            best = (score, lam, theta)
-    _, lam, theta1 = best
-    if theta1 is None:
-        raise ValueError("penalized mean-model fit failed for every lambda")
+    lam, theta1 = _gcv(ZtZ, Zty, float(np.sum(Y0**2)), n_obs, S)
 
     # degeneracy is judged once, on the full data, against an unpenalized
     # fit: the ladder-floor penalty leaves a small bias residue even on
     # exactly representable data. Degenerate data keep K = 0 in the fit and
     # in every leave-out, and every refit is least squares.
     theta_ls = np.linalg.lstsq(ZtZ, Zty, rcond=None)[0]
-    resid_ls = np.where(obs, Y - mean_curves(theta_ls), 0.0)
+    resid_ls = np.where(obs, Y - _mean_curves(Xc, B, theta_ls), 0.0)
     degenerate = float(np.abs(resid_ls).max()) < 1e-8 * max(1.0, float(np.abs(Y0).max()))
     if degenerate:
         warnings.warn("all residuals are zero; skipping FPCA (K = 0)")
     dt = (t[-1] - t[0]) / (T - 1) if T > 1 else 1.0
-
-    def diag(ridge):  # (..., K) -> (..., K, K)
-        return ridge[..., None, :] * np.eye(ridge.shape[-1])
-
-    def score_blocks(o, BPhi, PhiPhi, ridge):  # B' O Phi and Phi' O Phi + ridge for each row O of o
-        return masked_gram(o, BPhi), masked_gram(o, PhiPhi) + diag(ridge)[..., None, :, :]
-
-    # Refit with per-subject score columns U_i = O_i Phi (zero width when
-    # K = 0), solved through the Schur complement of the block-diagonal score
-    # block. The coefficient blocks are left unpenalized here (ladder-floor
-    # roughness penalty only, as a numerical stabilizer): the mean model's
-    # GCV lambda was tuned against a residual scale that included the subject
-    # effects, and carrying it over both biases the coefficient functions and
-    # understates their variance once the score terms absorb that variation.
-    lam_refit = float(_GCV_LADDER[0])
-    complete = obs.all(axis=1)
-    partial = np.flatnonzero(~complete)
-
-    def solve(M, rhs):  # stacked; minimum-norm least squares on degenerate data
-        if degenerate:
-            return np.linalg.pinv(M, np.finfo(float).eps * p) @ rhs
-        return np.linalg.solve(M + lam_refit * S, rhs)
-
-    def refit(Phi, ridge, ZtZ_k, Zty_k, keep):
-        """Score-augmented refit of each leave-out g on the subjects
-        keep[g], with FPCA Phi[g] (T, K), score ridge ridge[g] and mean-model
-        moments ZtZ_k[g], Zty_k[g] of those subjects: returns the
-        coefficients (g, p) and the Schur complements M (g, p, p), the
-        system matrices minus the roughness penalty.
-
-        Fully observed subjects share one score block per leave-out and
-        enter in Kronecker form through their x x' and y x' sums; every
-        other subject enters through its own score block.
-        """
-        pooled = (keep & complete)[:, :, None] * Xc  # (g, n, J1)
-        BtPhi = B.T @ Phi
-        H = BtPhi @ np.linalg.inv(Phi.swapaxes(-1, -2) @ Phi + diag(ridge))
-        M = ZtZ_k - kron_xx(Xc.T @ pooled, H @ BtPhi.swapaxes(-1, -2))
-        rhs = Zty_k - (H @ (Phi.swapaxes(-1, -2) @ (Y0.T @ pooled))).swapaxes(-1, -2).reshape(-1, p)
-        if partial.size:  # partly observed subjects, a block of them at a time
-            D = np.zeros((len(keep), J1 * J1, k_basis * k_basis))
-            BPhi, PhiPhi = outer(B, Phi), outer(Phi, Phi)
-            for lo in range(0, partial.size, _SCORE_BLOCK):
-                j = partial[lo:lo + _SCORE_BLOCK]
-                w = keep[:, j]  # (g, m)
-                C, A22 = score_blocks(obs[j], BPhi, PhiPhi, ridge)
-                A22[~w] += np.eye(Phi.shape[-1])  # a dropped subject's block is unused
-                H = C @ np.linalg.inv(A22)  # (g, m, kb, K)
-                D += (w[:, :, None] * XX[j].reshape(len(j), -1)).swapaxes(-1, -2) @ (
-                    H @ C.swapaxes(-1, -2)).reshape(len(w), len(j), -1)
-                Hy = (H @ (Y0[j] @ Phi)[..., None])[..., 0]  # (g, m, kb): H_j Phi' y_j
-                rhs -= ((w[:, :, None] * Xc[j]).swapaxes(-1, -2) @ Hy).reshape(-1, p)
-            M -= D.reshape(-1, J1, J1, k_basis, k_basis).transpose(0, 1, 3, 2, 4).reshape(-1, p, p)
-        M = 0.5 * (M + M.swapaxes(-1, -2))
-        return solve(M, rhs[..., None])[..., 0], M
+    design = (Y0, obs, Xc, B, S, degenerate)  # what every refit shares
 
     # the fit's FPCA: the leave-outs' call and component rule, with zero noise
     # on degenerate data; Phi is orthonormal under the grid inner product
-    vals, vecs, Ks, noises = _fpca_stack((Y - mean_curves(theta1))[None], pve,
+    vals, vecs, Ks, noises = _fpca_stack((Y - _mean_curves(Xc, B, theta1))[None], pve,
                                          0 if degenerate else n_components)
     K = int(Ks[0])
     Phi, sigma_k2 = vecs[0, :, :K] / np.sqrt(dt), vals[0, :K] * dt
     noise = 0.0 if degenerate else float(noises[0])
     ridge = noise / np.maximum(sigma_k2, 1e-10)
     try:
-        theta, M = (a[0] for a in refit(Phi[None], ridge[None], ZtZ, Zty, np.ones((1, n), bool)))
-        Sinv = solve(M, np.eye(p))
-        C, A22 = score_blocks(obs, outer(B, Phi), outer(Phi, Phi), ridge)
-        A22inv = np.linalg.inv(A22)
+        theta, M, Sinv = (a[0] for a in _refit(*design, Phi[None], ridge[None], ZtZ, Zty,
+                                               np.ones((1, n), bool), inverse=True))
+        C = _masked_gram(obs, _outer(B, Phi))  # (n, kb, K): B' O_i Phi
+        A22inv = np.linalg.inv(_masked_gram(obs, _outer(Phi, Phi)) + ridge * np.eye(K))
     except np.linalg.LinAlgError:
         # with zero noise the ridge is 0, and Phi' O_i Phi has rank below K
         # for a subject with fewer than K observed cells
@@ -465,11 +474,11 @@ def fit_fosr(
             f"the score block Phi' O_i Phi + ridge is singular for subject(s) {short}: "
             f"fewer observed cells than K = {K}, with zero noise variance"
         ) from None
-    A12 = kron_x(Xc, C)  # (n, p, K): Z_i' U_i
+    A12 = np.einsum("nj,nkl->njkl", Xc, C).reshape(n, p, K)  # Z_i' U_i = kron(x_i, C_i)
     G = A12 @ A22inv
     xi = np.einsum("nkl,nl->nk", A22inv, Y0 @ Phi - theta @ A12)
 
-    R0 = np.where(obs, Y - mean_curves(theta), 0.0)  # mean-model residuals
+    R0 = np.where(obs, Y - _mean_curves(Xc, B, theta), 0.0)  # mean-model residuals
     rss = float(np.sum(np.where(obs, R0 - xi @ Phi.T, 0.0) ** 2))
     # edf = tr(A^-1 W'W) for the full design W = [Z | U] and system matrix A
     edf = (np.trace(Sinv @ M) + n * K - np.einsum("nkk,k->", A22inv, ridge)
@@ -485,10 +494,10 @@ def fit_fosr(
         out = np.arange(start, min(start + _SUBJECT_BLOCK, n))
         keep = np.arange(n) != out[:, None]  # (g, n)
         # subject i's own moments, one row at a time so that no product depends on the width
-        ZtZ_k = ZtZ - kron_xx(XX[out], masked_gram(obs[out, None], BB)[:, 0])
-        Zty_k = Zty - kron_x(Xc[out], YB[out])
+        ZtZ_k = ZtZ - _kron_xx(XX[out], _masked_gram(obs[out, None], BB)[:, 0])
+        Zty_k = Zty - _outer(Xc[out], YB[out]).reshape(len(out), p)  # kron(x_i, B' y_i)
         try:
-            E = mean_curves(np.linalg.solve(ZtZ_k + lam * S, Zty_k[..., None])[..., 0])
+            E = _mean_curves(Xc, B, np.linalg.solve(ZtZ_k + lam * S, Zty_k[..., None])[..., 0])
             np.subtract(Y, E, out=E)
             E[np.arange(len(out)), out] = np.nan
             # degenerate data keep K = 0, where the noise variance is unused
@@ -496,8 +505,8 @@ def fit_fosr(
             for k in np.unique(Ks):  # one refit for the leave-outs that share K
                 g = Ks == k
                 ridge_g = noises[g, None] / np.maximum(vals[g, :k] * dt, 1e-10)
-                theta_out[out[g]] = refit(vecs[g, :, :k] / np.sqrt(dt), ridge_g, ZtZ_k[g],
-                                          Zty_k[g], keep[g])[0]
+                theta_out[out[g]] = _refit(*design, vecs[g, :, :k] / np.sqrt(dt), ridge_g,
+                                           ZtZ_k[g], Zty_k[g], keep[g])[0]
         except np.linalg.LinAlgError:
             who = ", ".join(repr(data.ids[i]) for i in out)
             raise ValueError(f"the fit without one of the subjects {who} is singular") from None
@@ -532,9 +541,7 @@ def predict_target(
     coefficient function times its value (empty subset = reference group).
     ``coefficient``: the coefficient function of the (first) subset variable.
     """
-    subset = subset if subset is not None else SubsetSpec(())
-    if isinstance(subset, (list, tuple, str)):
-        subset = SubsetSpec.parse(subset)
+    subset = SubsetSpec.parse(subset)
     for name, _ in subset.pairs:
         if name not in fit.covariate_names:
             raise ValueError(f"unknown variable {name!r} in subset")

@@ -155,10 +155,12 @@ def _innovation_weights(rho, k):
     return b, np.sqrt(1.0 - k * rho * b)
 
 
-def _whiten(A, rho, kind, groups):
+def _whiten(A, earlier, b, d):
     """L^-1 A along axis -2 (the observations), L being the Cholesky factor
-    of the AR(1) or compound-symmetry correlation with parameter rho (which
-    broadcasts against A) within each group.
+    of the AR(1) or compound-symmetry correlation within each group, from
+    the pattern ``earlier`` of :func:`_lower_pattern` and the weights b, d
+    of :func:`_innovation_weights` for its parameter rho (which broadcasts
+    against A).
 
     Each observation, in index order, becomes its standardized innovation
     given the earlier ones: (a_t - b_t s_t) / sqrt(1 - k_t rho b_t), where
@@ -168,8 +170,6 @@ def _whiten(A, rho, kind, groups):
     group labels the map is lower triangular: it is L^-1, not just any
     square root of the inverse correlation.
     """
-    earlier, k = _lower_pattern(kind, groups, A.shape[-2], rho)
-    b, d = _innovation_weights(rho, k)
     return (A - b * (earlier @ A)) / d
 
 
@@ -337,9 +337,9 @@ def fit_gls_grid(
 
         def whiten(cols, z):
             if shared is not None:
-                return shared, (z - b * (earlier @ z)) / d
+                return shared, _whiten(z, earlier, b, d)
             bb, db = _innovation_weights(_estimate_rho(z - X @ (ols @ z), kind, corr.groups), k)
-            return (XT - bb * YT) / db, (z - bb * (earlier @ z)) / db
+            return (XT - bb * YT) / db, _whiten(z, earlier, bb, db)
 
     if shared is not None:
         G, singular = _gram_inverse(shared)

@@ -28,12 +28,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     Domain,
     SCBand,
     _check_alpha,
+    _check_rank,
     _expit,
     _read_csv,
     _studentized_max,
@@ -267,17 +267,6 @@ class FittedGLM:
     term_names: tuple[str, ...]
     spec: ModelSpec  # with '.' expanded against the fitted table
     sigma2: float | None = None
-
-
-def _check_rank(X: np.ndarray, names: list[str]) -> None:
-    # pivoted QR exposes which columns are (numerically) dependent
-    _, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    tol = max(X.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-    rank = int(np.sum(diag > tol))
-    if rank < X.shape[1]:
-        bad = sorted(names[j] for j in piv[rank:])
-        raise ValueError(f"design is rank deficient; collinear columns: {', '.join(bad)}")
 
 
 def _fit(table: Table, spec: ModelSpec, family: str):

@@ -217,6 +217,28 @@ class TestScbFosr:
         assert err["error"] == "invalid_input"
         assert "'s0'" in err["message"] and "'use'" in err["message"]
 
+    def test_constant_covariate_invalid_input(self, tmp_path, fosr_csv, capsys):
+        # every covariate of the CSV is fitted; a constant one, collinear
+        # with the intercept, used to fit with an inflated cov_coef
+        lines = fosr_csv.read_text().splitlines()
+        bad = tmp_path / "constant.csv"
+        bad.write_text("\n".join([lines[0] + ",site"] + [line + ",3" for line in lines[1:]]) + "\n")
+        code = run(["scb", "fosr", "--data", bad, "--nboot", 50, "--kbasis", 8, "--quiet",
+                    "--out", tmp_path / "band.json"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "invalid_input"
+        assert err["message"] == "design is rank deficient; collinear columns: intercept, site"
+
+    def test_non_finite_subset_invalid_input(self, tmp_path, fosr_csv, capsys):
+        # used to fail in the draws as "non-finite statistic"
+        code = run(["scb", "fosr", "--data", fosr_csv, "--subset", "use=nan", "--nboot", 50,
+                    "--kbasis", 8, "--quiet", "--out", tmp_path / "band.json"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "invalid_input"
+        assert err["message"] == "subset value of 'use' must be finite, got nan"
+
     @pytest.mark.parametrize("method", ["cma", "multiplier"])
     def test_zero_nboot_invalid_input(self, tmp_path, fosr_csv, capsys, monkeypatch, method):
         # --nboot 0 used to run the method's default number of draws, and

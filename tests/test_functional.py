@@ -205,6 +205,32 @@ class TestFitFosr:
         assert not isinstance(info.value, np.linalg.LinAlgError)
         assert str(info.value) == ONE_CELL_FOSR_ERROR
 
+    @pytest.mark.parametrize("names, named", [
+        (("x", "x"), "x, x"),
+        (("x", "site"), "intercept, site"),
+        (("x", "u", "v"), "intercept, x, u, v"),
+    ], ids=["duplicate", "constant", "combination"])
+    def test_collinear_covariates_refused(self, rng, names, named):
+        # all three used to fit without complaint, the duplicate and the
+        # constant with cov_coef entries thousands of times those of the fit
+        # on x alone
+        data = make_dataset(rng, n=40, T=20, noise=0.3)
+        x, u = data.covariates["x"], rng.standard_normal(40)
+        covariates = {"x": x, "site": np.full(40, 5.0), "u": u, "v": 2.0 - x + 3.0 * u}
+        data = FunctionalDataset(data.ids, data.times, data.outcomes, covariates)
+        with pytest.raises(ValueError) as info:
+            fit_fosr(data, names, k_basis=8)
+        assert str(info.value) == f"design is rank deficient; collinear columns: {named}"
+
+    def test_one_covariate_name(self, rng):
+        # a name used to be taken as a sequence: "unknown covariate 'a'"
+        data = make_dataset(rng, n=20, T=20, noise=0.3)
+        covariates = {"x": data.covariates["x"], "age": rng.uniform(20, 60, 20)}
+        data = FunctionalDataset(data.ids, data.times, data.outcomes, covariates)
+        fit = fit_fosr(data, "age", k_basis=8)
+        assert fit.covariate_names == ("age",)
+        np.testing.assert_array_equal(fit.coef, fit_fosr(data, ("age",), k_basis=8).coef)
+
     def test_needs_ten_subjects(self, rng):
         data = make_dataset(rng, n=12, T=10, noise=0.1)
         small = FunctionalDataset(data.ids[:5], data.times, data.outcomes[:5],
@@ -266,6 +292,22 @@ class TestPredictTarget:
             eta, _, _ = predict_target(fit, "x=1,age=40", "coefficient")
         direct, _, _ = predict_target(fit, "x=1", "coefficient")
         np.testing.assert_array_equal(eta, direct)
+
+    @pytest.mark.parametrize("subset", ["x=nan", "age=inf", ["x=1", "age=-inf"]])
+    def test_non_finite_subset_refused(self, fit, subset):
+        # these used to reach the draws and fail there as "non-finite statistic"
+        name = "x" if subset == "x=nan" else "age"
+        with pytest.raises(ValueError, match=f"subset value of '{name}' must be finite"):
+            scb_cma(fit, subset, "fitted_mean", n_boot=50)
+        with pytest.raises(ValueError, match=f"subset value of '{name}' must be finite"):
+            predict_target(fit, subset)
+
+    def test_subset_forms_agree(self, fit):
+        spec = SubsetSpec.parse("x=1, age=40")
+        assert SubsetSpec.parse(spec) is spec
+        for subset in ("x=1, age=40", ["x=1", "age=40"]):
+            np.testing.assert_array_equal(predict_target(fit, subset)[0], predict_target(fit, spec)[0])
+        np.testing.assert_array_equal(predict_target(fit, None)[0], predict_target(fit, "")[0])
 
 
 class TestCma:
@@ -836,6 +878,57 @@ class TestBlockedLeaveOuts:
         assert peak < 32 * 2**20
 
 
+class TestGcvSelection:
+    """fit_fosr's lambda against GCV scores of a dense design, solved one
+    lambda at a time."""
+
+    @staticmethod
+    def dense_scores(data, fit, ladder):
+        Y = data.outcomes
+        rows, cols = np.nonzero(~np.isnan(Y))
+        Xc = np.column_stack([np.ones(len(Y)), data.covariates["x"]])
+        B = fit.basis.matrix
+        Z = (Xc[rows][:, :, None] * B[cols][:, None, :]).reshape(len(rows), -1)
+        y = Y[rows, cols]
+        S = np.kron(np.eye(2), fit.basis.penalty)
+        scores = []
+        for lam in ladder:
+            A = Z.T @ Z + lam * S
+            theta = np.linalg.solve(A, Z.T @ y)
+            edf = np.trace(np.linalg.solve(A, Z.T @ Z))
+            scores.append(len(y) * np.sum((y - Z @ theta) ** 2) / (len(y) - edf) ** 2)
+        return np.array(scores)
+
+    @pytest.mark.parametrize("seed, missing", [(60, 0.0), (63, 0.0), (67, 0.1), (70, 0.3)])
+    def test_lambda_is_the_first_gcv_minimizer(self, seed, missing):
+        data = fosr_data(30, seed, missing)
+        fit = fit_fosr(data, ("x",), k_basis=12)
+        ladder = np.logspace(-6, 4, 21)
+        scores = self.dense_scores(data, fit, ladder)
+        assert 0 < np.argmin(scores) < len(ladder) - 1  # an interior minimum
+        assert fit.basis.lambda_ == ladder[np.argmin(scores)]
+
+    def test_nan_score_is_never_picked(self, monkeypatch):
+        # np.argmin takes a NaN as the minimum; a NaN lambda gives a NaN score
+        ladder = np.array([1e-6, np.nan, 0.1, 0.3, 1.0])
+        monkeypatch.setattr(functional, "_GCV_LADDER", ladder)
+        data = fosr_data(30, 63)
+        fit = fit_fosr(data, ("x",), k_basis=12)
+        finite = ladder[~np.isnan(ladder)]
+        assert fit.basis.lambda_ == finite[np.argmin(self.dense_scores(data, fit, finite))]
+
+    def test_every_lambda_failing_is_refused(self, monkeypatch):
+        # at lambda = 0 the B-splines that no grid time reaches leave Z'Z singular
+        monkeypatch.setattr(functional, "_GCV_LADDER", np.array([0.0]))
+        rng = np.random.default_rng(5)
+        data = make_dataset(rng, n=12, T=5, noise=0.3)
+        assert (bspline_basis(data.times, 30) == 0).all(axis=0).any()
+        with pytest.raises(ValueError) as info:
+            fit_fosr(data, ("x",), k_basis=30)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+        assert str(info.value) == "penalized mean-model fit failed for every lambda"
+
+
 class TestSubsetSpec:
     def test_parse_string(self):
         s = SubsetSpec.parse("use=1, age = 40")
@@ -850,6 +943,16 @@ class TestSubsetSpec:
             SubsetSpec.parse("use")
         with pytest.raises(ValueError, match="numeric"):
             SubsetSpec.parse("use=male")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_refused(self, value):
+        message = f"subset value of 'use' must be finite, got {float(value)}"
+        with pytest.raises(ValueError) as info:
+            SubsetSpec.parse(f"age=40, use = {value}")
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            SubsetSpec((("use", float(value)),))
+        assert str(info.value) == message
 
 
 class TestDataset:

@@ -104,7 +104,9 @@ class TestWhiten:
             rho = -1.0 / (np.bincount(labels).max() - 1) + 1e-3
         spec = CorrelationSpec(kind, rho=rho, groups=labels)
         Linv = np.linalg.inv(np.linalg.cholesky(build_correlation(spec, 12)))
-        np.testing.assert_allclose(geospatial._whiten(np.eye(12), rho, kind, labels), Linv,
+        earlier, k = geospatial._lower_pattern(kind, labels, 12, rho)
+        b, d = geospatial._innovation_weights(rho, k)
+        np.testing.assert_allclose(geospatial._whiten(np.eye(12), earlier, b, d), Linv,
                                    rtol=0, atol=1e-12 * np.abs(Linv).max())
 
 

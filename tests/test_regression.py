@@ -123,8 +123,17 @@ class TestFitOls:
     def test_rank_deficiency_names_columns(self, rng):
         x = rng.standard_normal(30)
         t = Table.from_arrays(x=x, xx=2 * x, y=rng.standard_normal(30))
-        with pytest.raises(ValueError, match="collinear"):
+        with pytest.raises(ValueError) as info:
             fit_ols(t, parse_formula("y ~ x + xx"))
+        assert str(info.value) == "design is rank deficient; collinear columns: x, xx"
+
+    def test_constant_column_named_with_the_intercept(self, rng):
+        # the larger column leads the pivoted QR, so only the intercept used to be named
+        t = Table.from_arrays(x=rng.standard_normal(30), c=np.full(30, 3.0),
+                              y=rng.standard_normal(30))
+        with pytest.raises(ValueError) as info:
+            fit_ols(t, parse_formula("y ~ x + c"))
+        assert str(info.value) == "design is rank deficient; collinear columns: intercept, c"
 
     def test_needs_enough_rows(self, rng):
         t = Table.from_arrays(x=rng.standard_normal(2), y=rng.standard_normal(2))
