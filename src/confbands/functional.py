@@ -7,15 +7,17 @@ penalized B-spline least squares for the mean model with GCV-selected
 smoothing (``_gcv``, ``_mean_curves``), (2) FPCA of the residual process by
 eigendecomposition of its pairwise-complete covariance (``_fpca_stack``), (3)
 a refit that adds per-subject score terms as ridge-penalized coefficients
-(the random-effect equivalent; ``_refit``). The coefficient covariance comes
-from leave-one-subject-out contributions: each leave-out reruns all three
-steps without the subject (the mean model at the fit's lambda), through the
-same FPCA and refit as the fit itself, for any pattern of missing cells.
-The leave-outs run in blocks of the fixed width ``_SUBJECT_BLOCK``: one
-stack of mean-model solves, one stack of covariance eigendecompositions, and
-one refit per group of leave-outs that keep the same number of components.
-Each leave-out's products are taken on their own, so the width never changes
-a result.
+(the random-effect equivalent; ``_refit``). The FPCA takes every eigenvalue,
+which the number of components K and the noise variance need, but only the K
+eigenvectors that the refit keeps, each with its largest-magnitude entry
+positive. The coefficient covariance comes from leave-one-subject-out
+contributions: each leave-out reruns all three steps without the subject
+(the mean model at the fit's lambda), through the same FPCA and refit as the
+fit itself, for any pattern of missing cells. The leave-outs run in blocks of
+the fixed width ``_SUBJECT_BLOCK``: one stack of mean-model solves, one stack
+of covariances decomposed one by one, and one refit per group of leave-outs
+that keep the same number of components. Each leave-out's products are taken
+on their own, so the width never changes a result.
 
 Two critical-value estimators are provided, both on those contributions: a
 parametric simulation from their covariance (:func:`scb_cma`) and a
@@ -32,6 +34,7 @@ from types import MappingProxyType
 
 import numpy as np
 from scipy.interpolate import BSpline
+from scipy.linalg import lapack
 
 from .core import (
     Domain,
@@ -193,14 +196,19 @@ class BasisModel:
 @dataclass(frozen=True)
 class SubsetSpec:
     """Covariate values pinning down the target function, parsed from
-    "<var> = <value>" fragments; every value must be finite."""
+    "<var> = <value>" fragments; every value must be finite, and no name may
+    appear twice (two values of one covariate would add up)."""
 
     pairs: tuple
 
     def __post_init__(self):
+        seen = set()
         for name, value in self.pairs:
             if not np.isfinite(value):
                 raise ValueError(f"subset value of {name!r} must be finite, got {value}")
+            if name in seen:
+                raise ValueError(f"subset variable {name!r} is given more than once")
+            seen.add(name)
 
     @classmethod
     def parse(cls, spec) -> "SubsetSpec":
@@ -253,15 +261,50 @@ class FoSRFit:
         return self.residuals.shape[0]
 
 
+def _tridiagonal(c):
+    """All eigenvalues of the symmetric matrix c, ascending, from its
+    tridiagonal reduction, returned with it as (w, a, d, e, tau). None where
+    the tridiagonal splits (an off-diagonal entry at or below LAPACK's split
+    test, as in dstebz) or a routine fails."""
+    a, d, e, tau, info = lapack.dsytrd(c, lower=1)
+    ulp, safemin = np.finfo(float).eps, np.finfo(float).tiny
+    if info or (e**2 <= np.abs(d[1:] * d[:-1]) * ulp**2 + safemin).any():
+        return None
+    w, info = lapack.dsterf(d, e)
+    return None if info else (w, a, d, e, tau)
+
+
+def _top_vectors(w, a, d, e, tau, K):
+    """The eigenvectors of the top K eigenvalues w[-K:] of an unsplit
+    reduction from _tridiagonal, descending: inverse iteration on the
+    tridiagonal, mapped back through its Householder reflectors. None where
+    a routine fails."""
+    T = d.size
+    z, info = lapack.dstein(d, e, w[T - K:], np.ones(T, np.int32), np.full(T, T, np.int32))
+    if info:
+        return None
+    q, _, info = lapack.dormqr("L", "N", a[1:, :-1], tau, z[1:], lwork=K)
+    return None if info else np.vstack([z[:1], q])[:, ::-1]
+
+
 def _fpca_stack(E: np.ndarray, pve: float, n_components):
     """Eigendecomposition of the pairwise-complete residual covariance of
     each (n, T) matrix in the stack E (NaN at missing cells): entry (s, t)
     pools every row observed at both s and t, as PACE does (Yao, Mueller &
     Wang, JASA 2005). On complete rows it is the sample covariance.
 
-    Returns, for every matrix, the eigenvalues (..., T) and eigenvectors
-    (..., T, T) in descending order, the number of components K (...) and
-    the noise variance (...), the mean of the positive eigenvalues past K.
+    Returns, for every matrix, the eigenvalues (..., T) in descending order,
+    the eigenvectors of the top K of them (..., T, max K), descending and
+    zero past the matrix's own K, the number of components K (...) and the
+    noise variance (...), the mean of the positive eigenvalues past K.
+
+    Each matrix is reduced to tridiagonal form once. All T eigenvalues come
+    from it, since K and the noise variance need them; only the K kept
+    eigenvectors are computed, by inverse iteration. A matrix whose
+    tridiagonal splits, or where a LAPACK routine fails, is decomposed by
+    ``np.linalg.eigh`` instead. Every eigenvector is taken with its
+    largest-magnitude entry positive, so no result depends on the sign that
+    LAPACK returns.
     """
     obs = ~np.isnan(E)
     Z = np.where(obs, E, 0.0)
@@ -269,9 +312,11 @@ def _fpca_stack(E: np.ndarray, pve: float, n_components):
     np.copyto(Z, 0.0, where=~obs)
     o = obs.astype(np.float32)  # exact counts up to 2**24 rows
     C = (Z.swapaxes(-1, -2) @ Z) / np.maximum(o.swapaxes(-1, -2) @ o - 1, 1)
-    vals, vecs = np.linalg.eigh(C)
-    vals, vecs = vals[..., ::-1], vecs[..., ::-1]
-    T = vals.shape[-1]
+    T = C.shape[-1]
+    stack = C.reshape(-1, T, T)
+    reduced = [_tridiagonal(c) for c in stack]
+    vals = np.stack([np.linalg.eigvalsh(c) if r is None else r[0]
+                     for c, r in zip(stack, reduced)]).reshape(C.shape[:-1])[..., ::-1]
     # the positive eigenvalues are a leading run; K = 0 when there are none
     n_pos = (vals > np.maximum(vals[..., :1], 0.0) * 1e-12).sum(axis=-1)
     rank = np.arange(T)
@@ -291,7 +336,14 @@ def _fpca_stack(E: np.ndarray, pve: float, n_components):
         frac = np.cumsum(excess, axis=-1) / np.where(total > 0, total, 1.0)
         K = np.minimum((frac < pve).sum(axis=-1) + 1, n_pos)
     tail = np.where((rank >= K[..., None]) & (vals > 0), vals, 0.0).sum(axis=-1)
-    return vals, vecs, K, tail / np.maximum(T - K, 1)
+    vecs = np.zeros((len(stack), T, int(K.max(initial=0))))
+    for i, (c, r, k) in enumerate(zip(stack, reduced, K.ravel())):
+        if k:
+            v = None if r is None else _top_vectors(*r, k)
+            vecs[i, :, :k] = np.linalg.eigh(c)[1][:, ::-1][:, :k] if v is None else v
+    lead = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=1)[:, None], axis=1)
+    vecs *= np.where(lead < 0, -1.0, 1.0)
+    return vals, vecs.reshape(C.shape[:-1] + vecs.shape[-1:]), K, tail / np.maximum(T - K, 1)
 
 
 def _outer(F, G):

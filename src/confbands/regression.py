@@ -14,8 +14,11 @@ weights ``bincount(idx_b, minlength=n)``. Each redraw round reads its own
 keyed generator, ``substream(seed, attempt)``, front to back: the round's
 k-th replicate takes the next n uniforms u and draws the rows ``floor(n * u)``.
 The point fits are the same weighted kernels with unit weights, so there is
-one least-squares and one IRLS solver. Replicates are drawn and refit in
-chunks whose size follows from the fixed memory budget ``_CHUNK_BYTES``.
+one least-squares and one IRLS solver. The point fit's IRLS starts at
+beta = 0 and every logistic replicate's at the point fit's beta; a replicate
+that fails from there is rerun from beta = 0, and the rerun's result is
+kept. Replicates are drawn and refit in chunks whose size follows from the
+fixed memory budget ``_CHUNK_BYTES``.
 Every per-replicate product is taken over blocks of a fixed number of
 replicates, the last block padded with zero rows, so every BLAS call of a
 bootstrap has one shape and the chunk size never changes a result; each
@@ -408,14 +411,19 @@ def _ols_refit(X, y, C):
     return beta, cov, ok, sigma2
 
 
-def _irls_refit(X, y, C):
-    """Weighted logistic IRLS per row of C, all from beta = 0, converged
-    when max |score| < 1e-8 within 50 Newton steps. Returns (beta, cov, ok);
-    failures (separation, singular information, no convergence) are flagged,
-    not raised."""
+def _irls_refit(X, y, C, beta0=None):
+    """Weighted logistic IRLS per row of C, converged when max |score| < 1e-8
+    within 50 Newton steps. Returns (beta, cov, ok); failures (separation,
+    singular information, no convergence) are flagged, not raised.
+
+    Every row starts at ``beta0`` (a bootstrap passes the point fit's beta),
+    or at beta = 0 when it is None. A row that fails from ``beta0`` is rerun
+    from beta = 0, and the rerun's result is the one kept, so a warm start
+    never loses a refit that the zero start finds. Each row is solved on its
+    own, so the rerun gives a row exactly its zero-start result."""
     B = len(C)
     p = X.shape[1]
-    beta = np.zeros((B, p))
+    beta = np.zeros((B, p)) if beta0 is None else np.tile(beta0, (B, 1))
     ok = np.ones(B, dtype=bool)
     active = np.ones(B, dtype=bool)
     info = np.zeros((B, p, p))
@@ -444,15 +452,19 @@ def _irls_refit(X, y, C):
     good = np.flatnonzero(ok)
     if good.size:
         cov[good], ok[good] = _each(np.linalg.inv, info[good])
+    rerun = np.flatnonzero(~ok)
+    if beta0 is not None and rerun.size:
+        beta[rerun], cov[rerun], ok[rerun] = _irls_refit(X, y, C[rerun])
     return beta, cov, ok
 
 
-def _refit(family, X, y, C):
+def _refit(family, X, y, C, beta0=None):
     """Count-weighted refits of ``family``: (beta, cov, ok, sigma2), where
-    sigma2 is None for the binomial family."""
+    sigma2 is None for the binomial family. ``beta0`` is the binomial
+    family's starting point (see _irls_refit); least squares needs none."""
     if family == "gaussian":
         return _ols_refit(X, y, C)
-    return (*_irls_refit(X, y, C), None)
+    return (*_irls_refit(X, y, C, beta0), None)
 
 
 _FAMILY_ALIASES = {
@@ -482,14 +494,16 @@ def _resample_counts(rng, count, n):
     return np.bincount(rows.ravel(), minlength=rows.size).reshape(-1, n).astype(float)
 
 
-def _bootstrap_max_stats(X, y, family, stat_design, center, n_boot, seed):
+def _bootstrap_max_stats(X, y, family, stat_design, center, n_boot, seed, beta0=None):
     """Per-replicate max standardized deviations for the resampling bootstrap.
 
     ``stat_design``: design matrix mapping coefficients to the statistic grid
     (identity for coefficient bands). ``center``: the original-fit statistic
-    on that grid. Failed refits are redrawn in the next round, from the
-    round's own stream ``substream(seed, attempt)``, capped at 10 * n_boot
-    attempts in total.
+    on that grid. ``beta0``: the original fit's coefficients, where every
+    binomial replicate's IRLS starts; a replicate that fails from there is
+    rerun from beta = 0 before it counts as failed (see _irls_refit). Failed
+    refits are redrawn in the next round, from the round's own stream
+    ``substream(seed, attempt)``, capped at 10 * n_boot attempts in total.
     """
     n = X.shape[0]
     chunk = max(1, _CHUNK_BYTES // (8 * max(n, stat_design.shape[0], X.shape[1] ** 2)))
@@ -508,7 +522,7 @@ def _bootstrap_max_stats(X, y, family, stat_design, center, n_boot, seed):
         for start in range(0, pending.size, chunk):
             part = pending[start:start + chunk]
             C = _resample_counts(rng, part.size, n)
-            stats, ok = _replicate_max_stats(X, y, family, C, stat_design, center)
+            stats, ok = _replicate_max_stats(X, y, family, C, stat_design, center, beta0)
             r_max[part[ok]] = stats[ok]
             failed.append(part[~ok])
         pending = np.concatenate(failed)
@@ -516,10 +530,11 @@ def _bootstrap_max_stats(X, y, family, stat_design, center, n_boot, seed):
     return r_max
 
 
-def _replicate_max_stats(X, y, family, C, stat_design, center):
-    """Refit on the count weights C and studentize each replicate's
-    deviation from ``center`` by its own SE. Returns (max stats, ok)."""
-    beta, cov, ok, _ = _refit(family, X, y, C)
+def _replicate_max_stats(X, y, family, C, stat_design, center, beta0=None):
+    """Refit on the count weights C, from ``beta0`` (see _refit), and
+    studentize each replicate's deviation from ``center`` by its own SE.
+    Returns (max stats, ok)."""
+    beta, cov, ok, _ = _refit(family, X, y, C, beta0)
     stat = _rowwise(beta, stat_design.T)
     # var[b, g] = sum_jk D[g, j] cov[b, j, k] D[g, k], as one product with
     # the row-wise outer products of D
@@ -564,7 +579,7 @@ def scb_mean_bootstrap(
     eta, se = predict_mean(fit, grid)
     G_boot = _design(fit.spec.terms, grid_boot if grid_boot is not None else grid, "grid")
     center = G_boot @ fit.beta
-    r_max = _bootstrap_max_stats(X, y, family, G_boot, center, n_boot, seed)
+    r_max = _bootstrap_max_stats(X, y, family, G_boot, center, n_boot, seed, fit.beta)
     a = empirical_quantile(r_max, 1.0 - alpha)
     if se.max(initial=0.0) <= 1e-10 * max(1.0, float(np.abs(eta).max(initial=0.0))):
         warnings.warn("degenerate band: zero sampling variance on the grid")
@@ -599,7 +614,7 @@ def scb_coef_bootstrap(
     fit, X, y = _fit(table, spec, family)
     p = len(fit.beta)
     se = np.sqrt(np.maximum(np.diag(fit.cov_beta), 0.0))
-    r_max = _bootstrap_max_stats(X, y, family, np.eye(p), fit.beta, n_boot, seed)
+    r_max = _bootstrap_max_stats(X, y, family, np.eye(p), fit.beta, n_boot, seed, fit.beta)
     a = empirical_quantile(r_max, 1.0 - alpha)
     domain = Domain.discrete(fit.term_names)
     return assemble_band(fit.beta, se, a, 1.0, alpha, domain)

@@ -239,6 +239,16 @@ class TestScbFosr:
         assert err["error"] == "invalid_input"
         assert err["message"] == "subset value of 'use' must be finite, got nan"
 
+    def test_repeated_subset_name_invalid_input(self, tmp_path, fosr_csv, capsys):
+        # used to band the mean at use = 3 without a word
+        code = run(["scb", "fosr", "--data", fosr_csv, "--subset", "use=1,use=2", "--nboot", 50,
+                    "--kbasis", 8, "--quiet", "--out", tmp_path / "band.json"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "invalid_input"
+        assert err["message"] == "subset variable 'use' is given more than once"
+        assert not (tmp_path / "band.json").exists()
+
     @pytest.mark.parametrize("method", ["cma", "multiplier"])
     def test_zero_nboot_invalid_input(self, tmp_path, fosr_csv, capsys, monkeypatch, method):
         # --nboot 0 used to run the method's default number of draws, and

@@ -682,15 +682,19 @@ class TestMissingCells:
         assert worst < 0.15
 
 
-def fpca_oracle(E, dt, pve, n_components):
-    """The FPCA of one (n, T) residual matrix, one matrix at a time:
-    (Phi, score variances, noise variance)."""
+def pairwise_covariance(E):
+    """The pairwise-complete covariance of one (n, T) residual matrix."""
     obs = ~np.isnan(E)
     Z = np.where(obs, E, 0.0)
     Z = np.where(obs, Z - Z.sum(axis=0) / obs.sum(axis=0), 0.0)
-    C = (Z.T @ Z) / np.maximum(obs.T @ obs.astype(float) - 1, 1)
+    return (Z.T @ Z) / np.maximum(obs.T @ obs.astype(float) - 1, 1)
+
+
+def fpca_oracle(E, dt, pve, n_components):
+    """The FPCA of one (n, T) residual matrix, one matrix at a time:
+    (Phi, score variances, noise variance)."""
     T = E.shape[1]
-    vals, vecs = np.linalg.eigh(C)
+    vals, vecs = np.linalg.eigh(pairwise_covariance(E))
     vals, vecs = vals[::-1], vecs[:, ::-1]
     pos = vals > max(vals[0], 0.0) * 1e-12
     if vals[pos].sum() <= 0:
@@ -799,6 +803,116 @@ def fosr_data(n, seed, missing=0.0):
     Y = data.outcomes.copy()
     Y[rng.random(Y.shape) < missing] = np.nan
     return FunctionalDataset(data.ids, data.times, Y, data.covariates)
+
+
+def leading_positive(V):
+    """V with each column's largest-magnitude entry made positive."""
+    lead = V[np.abs(V).argmax(axis=0), np.arange(V.shape[1])]
+    return V * np.where(lead < 0, -1.0, 1.0)
+
+
+def low_rank_stack(rng, count, n=40, T=30, rank=6, missing=0.0):
+    """``count`` residual matrices of a few smooth components plus noise,
+    with a share ``missing`` of the cells set to NaN."""
+    t = np.linspace(0.0, 1.0, T)
+    basis = np.array([np.sin((k + 1) * np.pi * t) for k in range(rank)])
+    E = (rng.standard_normal((count, n, rank)) * np.linspace(3.0, 0.5, rank)) @ basis
+    E += 0.2 * rng.standard_normal(E.shape)
+    E[rng.random(E.shape) < missing] = np.nan
+    return E
+
+
+class TestFpcaStack:
+    """_fpca_stack takes all eigenvalues of each covariance but only its top-K
+    eigenvectors, from one tridiagonal reduction; every matrix must agree
+    with np.linalg.eigh run on it alone, with the sign rule applied."""
+
+    @staticmethod
+    def check(E, pve=0.95, n_components=None, repeated=1):
+        """Compare with the oracle; the top ``repeated`` eigenvalues are equal,
+        so their vectors are compared as a projector, being defined only up
+        to a rotation."""
+        vals, vecs, K, noise = functional._fpca_stack(E, pve, n_components)
+        assert vecs.shape == (len(E), E.shape[-1], K.max(initial=0))
+        for i, e in enumerate(E):
+            oracle = np.linalg.eigvalsh(pairwise_covariance(e))[::-1]
+            np.testing.assert_allclose(vals[i], oracle, rtol=0, atol=1e-13 * np.abs(oracle).max())
+            Phi, _, noise_oracle = fpca_oracle(e, 1.0, pve, n_components)
+            k = Phi.shape[1]
+            assert K[i] == k
+            V = vecs[i, :, :k]
+            assert not vecs[i, :, k:].any()
+            np.testing.assert_allclose(V.T @ V, np.eye(k), rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(leading_positive(V), V)
+            r = min(repeated, k)
+            np.testing.assert_allclose(V[:, r:], leading_positive(Phi[:, r:]), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(V[:, :r] @ V[:, :r].T, Phi[:, :r] @ Phi[:, :r].T,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(noise[i], noise_oracle, rtol=1e-12, atol=0)
+        return K
+
+    def test_complete_data(self, rng):
+        K = self.check(low_rank_stack(rng, 6))
+        assert (K > 1).all()
+
+    def test_missing_cells(self, rng):
+        E = low_rank_stack(rng, 6, missing=0.15)
+        # the pairwise-complete covariance is indefinite
+        assert any(np.linalg.eigvalsh(pairwise_covariance(e))[0] < 0 for e in E)
+        self.check(E)
+
+    def test_repeated_top_eigenvalue(self, rng):
+        # E = sqrt(n - 1) Q diag(sqrt(lam)) V' with centered orthonormal Q has
+        # the sample covariance V diag(lam) V', whose top eigenvalue is double
+        n, T = 40, 30
+        A = rng.standard_normal((n, T))
+        Q = np.linalg.qr(A - A.mean(axis=0))[0]
+        V = np.linalg.qr(rng.standard_normal((T, T)))[0]
+        lam = np.concatenate([[5.0, 5.0, 2.0, 1.0], np.full(T - 4, 0.01)])
+        E = np.sqrt(n - 1.0) * (Q * np.sqrt(lam)) @ V.T
+        top = np.linalg.eigvalsh(pairwise_covariance(E))[::-1][:3]
+        assert top[0] - top[1] < 1e-12 * top[0] < top[1] - top[2]
+        K = self.check(E[None], repeated=2)
+        assert K[0] >= 2
+
+    def test_split_tridiagonal_falls_back_to_eigh(self, rng):
+        # a zero first grid column zeroes the first off-diagonal entry; the
+        # stack mixes it with matrices that take the tridiagonal route
+        E = low_rank_stack(rng, 4)
+        E[1, :, 0] = 0.0
+        E[2, :, 7] = 0.0  # a zero middle column leaves a rounding-sized entry above the test
+        routes = [functional._tridiagonal(pairwise_covariance(e)) is None for e in E]
+        assert routes == [False, True, False, False]
+        self.check(E)
+
+    def test_failed_inverse_iteration_falls_back_to_eigh(self, monkeypatch, rng):
+        E = low_rank_stack(rng, 3)
+        dstein = functional.lapack.dstein
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            z, info = dstein(*args)
+            return z, info if len(calls) != 2 else 1
+
+        monkeypatch.setattr(functional.lapack, "dstein", failing)
+        self.check(E)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("n_components", [0, 3])
+    def test_fixed_number_of_components(self, rng, n_components):
+        E = low_rank_stack(rng, 4, missing=0.1)
+        K = self.check(E, n_components=n_components)
+        np.testing.assert_array_equal(K, n_components)
+
+    def test_zero_residuals_keep_no_component(self):
+        vals, vecs, K, noise = functional._fpca_stack(np.zeros((3, 20, 10)), 0.95, None)
+        assert vecs.shape == (3, 10, 0) and not K.any() and not noise.any() and not vals.any()
+
+    def test_fit_eigenfunctions_follow_the_sign_rule(self):
+        Phi = fit_fosr(fosr_data(40, 43), ("x",), k_basis=12).eigenfunctions
+        assert Phi.shape[1] > 0
+        np.testing.assert_array_equal(leading_positive(Phi), Phi)
 
 
 class TestBlockedLeaveOuts:
@@ -953,6 +1067,22 @@ class TestSubsetSpec:
         with pytest.raises(ValueError) as info:
             SubsetSpec((("use", float(value)),))
         assert str(info.value) == message
+
+
+    def test_repeated_name_refused(self):
+        # the two values used to add up: "x=1, x=2" banded the mean at x = 3
+        message = "subset variable 'use' is given more than once"
+        with pytest.raises(ValueError) as info:
+            SubsetSpec.parse("use=1, age=40, use = 2")
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            SubsetSpec((("use", 1.0), ("use", 1.0)))
+        assert str(info.value) == message
+
+    def test_repeated_name_refused_by_predict_target(self, rng):
+        fit = fit_fosr(make_dataset(rng, n=12, T=15, noise=0.3), ("x",), k_basis=8)
+        with pytest.raises(ValueError, match="'x' is given more than once"):
+            predict_target(fit, "x=1, x=2")
 
 
 class TestDataset:

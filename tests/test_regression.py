@@ -19,6 +19,7 @@ from confbands.regression import (
     scb_coef_bootstrap,
     scb_mean_bootstrap,
 )
+from confbands.simulate import SimDesign, generate
 
 
 def expit(x):
@@ -582,6 +583,105 @@ class TestCountWeightedRefits:
             tracemalloc.stop()
         assert np.all(np.isfinite(r_max))
         assert peak < 2 * per_row_mib * 2**20
+
+
+def cubic_logistic(rng, n=80):
+    """(X, y) of a binary response on a cubic in one covariate."""
+    x = rng.standard_normal(n)
+    y = (rng.random(n) < expit(0.3 + x - 0.4 * x**2)).astype(float)
+    X, _, y = build_design(Table.from_arrays(x=x, y=y), parse_formula("y ~ x + I(x^2)"))
+    return X, y
+
+
+class TestWarmStartedIrls:
+    """Bootstrap IRLS refits start at the point fit's beta; a refit that fails
+    from there is rerun from beta = 0, and that rerun's result is kept."""
+
+    @staticmethod
+    def recording_reruns(monkeypatch):
+        """The count matrices of the zero-start reruns, in call order."""
+        reruns = []
+        irls = regression._irls_refit
+
+        def recording(X, y, C, beta0=None):
+            if beta0 is None:
+                reruns.append(C)
+            return irls(X, y, C, beta0)
+
+        monkeypatch.setattr(regression, "_irls_refit", recording)
+        return reruns
+
+    def test_flags_equal_the_zero_start_on_redraw_prone_design(self, rng):
+        fit, X, y = regression._fit(redraw_prone_table(rng, binary=True),
+                                    parse_formula("y ~ x + z"), "binomial")
+        C = regression._resample_counts(substream(11, 0), 300, len(y))
+        ok_warm = regression._refit("binomial", X, y, C, fit.beta)[2]
+        ok_zero = regression._refit("binomial", X, y, C)[2]
+        np.testing.assert_array_equal(ok_warm, ok_zero)
+        assert ok_zero.any() and not ok_zero.all()
+
+    @pytest.mark.parametrize("design", ["redraw_prone", "logistic_outcome"])
+    def test_warm_failure_takes_the_zero_start_result(self, monkeypatch, rng, design):
+        # redraw-prone: the refits that drop both of z's nonzero rows fail
+        # from either start. logistic_outcome: two refits diverge from the
+        # point fit and converge from zero. Each rerun must come back exactly
+        # as the zero start leaves it: flag, beta and covariance.
+        if design == "redraw_prone":
+            table, spec = redraw_prone_table(rng, binary=True), parse_formula("y ~ x + z")
+        else:
+            table = generate(SimDesign(design, n=100), substream(7, 1))[0]
+            spec = parse_formula("y ~ x1 + I(x1^2) + I(x1^3)")
+        fit, X, y = regression._fit(table, spec, "binomial")
+        C = regression._resample_counts(substream(12 if design == "redraw_prone" else 3, 0),
+                                        300, len(y))
+        zero = regression._irls_refit(X, y, C)
+        reruns = self.recording_reruns(monkeypatch)
+        warm = regression._irls_refit(X, y, C, fit.beta)
+        assert len(reruns) == 1 and len(reruns[0])
+        rows = [int(np.flatnonzero((C == c).all(axis=1))[0]) for c in reruns[0]]
+        np.testing.assert_array_equal(warm[2][rows], design == "logistic_outcome")
+        for got, want in zip(warm, zero):
+            np.testing.assert_array_equal(got[rows], want[rows])
+
+    def test_diverging_start_gives_the_zero_start_exactly(self, monkeypatch, rng):
+        # a start far out on the logit scale saturates every probability, so
+        # Newton's method leaves the separation norm from it; every refit is
+        # rerun and the whole result is the zero start's
+        X, y = cubic_logistic(rng)
+        C = regression._resample_counts(substream(11, 0), 60, len(y))
+        zero = regression._irls_refit(X, y, C)
+        assert zero[2].all()
+        reruns = self.recording_reruns(monkeypatch)
+        warm = regression._irls_refit(X, y, C, np.full(X.shape[1], 40.0))
+        assert len(reruns) == 1 and len(reruns[0]) == len(C)
+        for got, want in zip(warm, zero):
+            np.testing.assert_array_equal(got, want)
+
+    def test_warm_refits_match_gather_oracle(self, rng):
+        # both starts stop at max |score| < 1e-8, from different sides, so
+        # they agree to the score tolerance rather than to rounding
+        X, y = cubic_logistic(rng)
+        beta0 = regression._irls_refit(X, y, np.ones((1, len(y))))[0][0]
+        C = regression._resample_counts(substream(11, 0), 60, len(y))
+        beta, cov, ok = regression._irls_refit(X, y, C, beta0)
+        assert ok.all()
+        for b, c in enumerate(C):
+            ref = gather_refit("binomial", X, y, np.repeat(np.arange(len(y)), c.astype(int)))
+            np.testing.assert_allclose(beta[b], ref[0], rtol=1e-7, atol=1e-7)
+            np.testing.assert_allclose(cov[b], ref[1], rtol=1e-7, atol=1e-7)
+
+    @pytest.mark.parametrize("kind", ["logistic_outcome", "logistic_coef"])
+    def test_bootstrap_maxima_move_by_the_score_tolerance_only(self, kind):
+        n = 100 if kind == "logistic_outcome" else 200
+        table, _ = generate(SimDesign(kind, n=n), substream(7, 0))
+        spec = parse_formula("y ~ x1 + I(x1^2) + I(x1^3)" if kind == "logistic_outcome"
+                             else "y ~ .")
+        fit, X, y = regression._fit(table, spec, "binomial")
+        D = X[:20] if kind == "logistic_outcome" else np.eye(X.shape[1])
+        warm = regression._bootstrap_max_stats(X, y, "binomial", D, D @ fit.beta, 300, 3,
+                                               fit.beta)
+        zero = regression._bootstrap_max_stats(X, y, "binomial", D, D @ fit.beta, 300, 3)
+        np.testing.assert_allclose(warm, zero, rtol=1e-8, atol=0)
 
 
 def design_products(n, p, g, rng):
