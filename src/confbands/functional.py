@@ -287,6 +287,13 @@ def _top_vectors(w, a, d, e, tau, K):
     return None if info else np.vstack([z[:1], q])[:, ::-1]
 
 
+def _positive_lead(vecs):
+    """A (..., T, K) stack of eigenvectors, each column taken with its
+    largest-magnitude entry positive; a zero column stays as it is."""
+    lead = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=-2)[..., None, :], axis=-2)
+    return vecs * np.where(lead < 0, -1.0, 1.0)
+
+
 def _fpca_stack(E: np.ndarray, pve: float, n_components):
     """Eigendecomposition of the pairwise-complete residual covariance of
     each (n, T) matrix in the stack E (NaN at missing cells): entry (s, t)
@@ -341,9 +348,8 @@ def _fpca_stack(E: np.ndarray, pve: float, n_components):
         if k:
             v = None if r is None else _top_vectors(*r, k)
             vecs[i, :, :k] = np.linalg.eigh(c)[1][:, ::-1][:, :k] if v is None else v
-    lead = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=1)[:, None], axis=1)
-    vecs *= np.where(lead < 0, -1.0, 1.0)
-    return vals, vecs.reshape(C.shape[:-1] + vecs.shape[-1:]), K, tail / np.maximum(T - K, 1)
+    vecs = _positive_lead(vecs).reshape(C.shape[:-1] + vecs.shape[-1:])
+    return vals, vecs, K, tail / np.maximum(T - K, 1)
 
 
 def _outer(F, G):
@@ -635,10 +641,8 @@ def cma_max_stats(C, cov, se, n_boot: int, rng) -> np.ndarray:
     vals, vecs = np.linalg.eigh(cov)
     if vals.min(initial=0.0) < -1e-8 * max(vals.max(initial=1.0), 1.0):
         warnings.warn("covariance is not PSD; projecting negative eigenvalues to 0")
-    # LAPACK returns either sign of an eigenvector; taking each one with its
-    # largest-magnitude entry positive keeps the draws from jumping with cov
-    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
-    root = vecs * np.where(lead < 0, -1.0, 1.0) * np.sqrt(np.clip(vals, 0.0, None))
+    # a fixed sign per eigenvector keeps the draws from jumping with cov
+    root = _positive_lead(vecs) * np.sqrt(np.clip(vals, 0.0, None))
     z = rng.standard_normal((n_boot, cov.shape[0]))
     disp = z @ root.T  # draws of (beta_b - beta_hat)
     field = disp @ np.asarray(C, dtype=float).T
@@ -712,9 +716,11 @@ def multiplier_max_stats(
     The multipliers are drawn once, from the caller's keyed ``rng``; the
     spots are then reduced in blocks of the fixed width ``_SPOT_BLOCK``,
     keeping a running maximum per replicate.
-    Memory is O(n_boot (N + width) + N spots), not n_boot x spots, and since
-    a replicate's maximum is the maximum of its block maxima the width never
-    changes a result: it depends only on the multipliers, hence on the seed.
+    Memory is O(n_boot (N + width) + N spots), not n_boot x spots. A
+    replicate's maximum is the maximum of its block maxima, so at the fixed
+    width the maxima depend only on the samples and the seed; another width
+    gives products of other shapes, which may round differently, and moves
+    them by rounding only.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:

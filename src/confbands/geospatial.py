@@ -8,10 +8,11 @@ correlation, then one kernel fits the spots in blocks of the fixed width
 ``_GLS_BLOCK``, from each block's spot-last (p, n, width) whitened design.
 The inverse factor has a closed form for AR(1) and compound symmetry (none
 is AR(1) with rho = 0); an explicit covariance is factored block by block.
-Spots that share one correlation share one (p, n, 1) whitened design and one
-Gram inverse. A short last block is padded with copies of its last spot, so
-no spot's result depends on its block-mates or on the number of spots, and
-the fit holds O(p n width + n S) memory for S spots.
+Spots that share one correlation (none, a fixed rho, an (n, n) covariance)
+share one (p, n, 1) whitened design in each block, whose products are GEMMs.
+A short last block is padded with copies of its last spot, so no spot's
+result depends on its block-mates or on the number of spots, and the fit
+holds O(p n width + n S) memory for S spots.
 The band for eta(s) = w'beta(s) reuses the multiplier-t machinery on
 whitened per-observation contributions, with one multiplier draw per
 observation shared across spots.
@@ -257,7 +258,7 @@ def fit_gls_grid(
     a Cholesky factorization per spot of the block for an explicit V), then
     one kernel fits the block from its spot-last (p, n, width) whitened
     design. Spots that share one correlation (none, a fixed rho, an (n, n)
-    V) share one (p, n, 1) whitened design and one Gram inverse. Beyond its
+    V) share one (p, n, 1) whitened design in every block. Beyond its
     outputs, a fit holds O(p n width) memory. Returns the per-spot fit
     fields together with the (n_obs, n_spots) matrix of whitened
     per-observation contributions to eta_hat, used by the multiplier
@@ -290,7 +291,6 @@ def fit_gls_grid(
         raise ValueError("GLS fit failed at spots: " + "; ".join(entries))
 
     not_pd = np.zeros(S, dtype=bool)
-    shared = None  # the (p, n, 1) whitened design of spots that share one correlation
     if corr.kind == "explicit":
         V = np.asarray(corr.V, dtype=float)
         if V.shape not in ((n, n), mask.shape + (n, n)):
@@ -304,23 +304,24 @@ def fit_gls_grid(
                 Linv = np.linalg.inv(np.linalg.cholesky(V))
             except np.linalg.LinAlgError:
                 fail(True, "covariance V is singular or not positive definite")
-            shared = np.ascontiguousarray((Linv @ X).T)[:, :, None]
+            Xw = np.ascontiguousarray((Linv @ X).T)[:, :, None]  # one design for every spot
+
+            def whiten(cols, z):
+                return Xw, Linv @ z
         else:
             V = V.reshape(-1, n, n)
 
-        def whiten(cols, z):
-            if shared is not None:
-                return shared, Linv @ z
-            Vb = V[cells[cols]]
-            if not np.all(np.isfinite(Vb)):
-                raise ValueError("V must be finite at unmasked spots")
-            try:
-                Linv_b = np.linalg.inv(np.linalg.cholesky(Vb))
-            except np.linalg.LinAlgError:  # the block fails as a whole: factor it V by V
-                not_pd[cols] = [scipy.linalg.lapack.dpotrf(v, lower=True)[1] != 0 for v in Vb]
-                return None, None
-            U = np.ascontiguousarray((Linv_b @ X).transpose(2, 1, 0))
-            return U, np.ascontiguousarray((Linv_b @ z.T[:, :, None])[:, :, 0].T)
+            def whiten(cols, z):
+                Vb = V[cells[cols]]
+                if not np.all(np.isfinite(Vb)):
+                    raise ValueError("V must be finite at unmasked spots")
+                try:
+                    Linv_b = np.linalg.inv(np.linalg.cholesky(Vb))
+                except np.linalg.LinAlgError:  # the block fails as a whole: factor it V by V
+                    not_pd[cols] = [scipy.linalg.lapack.dpotrf(v, lower=True)[1] != 0 for v in Vb]
+                    return None, None
+                U = np.ascontiguousarray((Linv_b @ X).transpose(2, 1, 0))
+                return U, np.ascontiguousarray((Linv_b @ z.T[:, :, None])[:, :, 0].T)
     else:
         kind = "ar1" if corr.kind == "none" else corr.kind  # none is AR(1) with rho = 0
         rho = 0.0 if corr.kind == "none" else corr.rho
@@ -329,22 +330,14 @@ def fit_gls_grid(
         earlier, k = _lower_pattern(kind, corr.groups, n, 0.0 if rho is None else rho)
         XT = np.ascontiguousarray(X.T)[:, :, None]
         YT = np.ascontiguousarray((earlier @ X).T)[:, :, None]
-        if rho is None:
-            ols = np.linalg.pinv(X)
-        else:
-            b, d = _innovation_weights(rho, k)
-            shared = (XT - b * YT) / d
+        ols = np.linalg.pinv(X) if rho is None else None
 
         def whiten(cols, z):
-            if shared is not None:
-                return shared, _whiten(z, earlier, b, d)
-            bb, db = _innovation_weights(_estimate_rho(z - X @ (ols @ z), kind, corr.groups), k)
-            return (XT - bb * YT) / db, _whiten(z, earlier, bb, db)
+            # a fixed rho gives the block one (p, n, 1) design, an estimated one a design per spot
+            r = _estimate_rho(z - X @ (ols @ z), kind, corr.groups) if rho is None else rho
+            b, d = _innovation_weights(r, k)
+            return (XT - b * YT) / d, _whiten(z, earlier, b, d)
 
-    if shared is not None:
-        G, singular = _gram_inverse(shared)
-        if G is None:
-            fail(singular, "design matrix is singular")  # one Gram matrix serves every spot
     beta, eta, se, contrib = np.empty((p, S)), np.empty(S), np.empty(S), np.empty((n, S))
     singular = np.zeros(S, dtype=bool)
     for first in range(0, S, _GLS_BLOCK):
@@ -355,11 +348,10 @@ def fit_gls_grid(
         U, zw = whiten(cols, cube[:, cells[cols]])
         if U is None:  # not positive definite at some spot of the block
             continue
-        if shared is None:
-            G, bad = _gram_inverse(U)
-            if G is None:
-                singular[cols] = bad
-                continue
+        G, bad = _gram_inverse(U)  # a (p, n, 1) design has one flag, which every spot takes
+        if G is None:
+            singular[cols] = bad
+            continue
         for out, values in zip((beta, eta, se, contrib), _fit_block(U, G, zw, w)):
             out[..., first:first + m] = values[..., :m]
     if not_pd.any():

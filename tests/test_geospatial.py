@@ -578,11 +578,21 @@ class TestSpotIndependence:
     wherever it sits, which no API promises."""
 
     N = 20
-    CASES = ["ar1_estimated_groups", "ar1_fixed", "comp_symm_estimated", "explicit_per_spot"]
+    # none, ar1_fixed and explicit_shared give every spot of a block one shared design
+    CASES = ["ar1_estimated_groups", "ar1_fixed", "comp_symm_estimated", "explicit_per_spot",
+             "explicit_shared", "none"]
+
+    def own_V(self):  # the tested spot's covariance; every spot's under explicit_shared
+        return build_correlation(
+            CorrelationSpec("comp_symm", rho=0.3, groups=np.arange(self.N) % 4), self.N)
 
     def spec(self, case, V):
         if case == "explicit_per_spot":
             return CorrelationSpec("explicit", V=V)
+        if case == "explicit_shared":
+            return CorrelationSpec("explicit", V=self.own_V())
+        if case == "none":
+            return CorrelationSpec("none")
         if case == "ar1_fixed":
             return CorrelationSpec("ar1", rho=0.4)
         return CorrelationSpec(case.split("_estimated")[0], groups=np.repeat([0, 1, 2, 3], 5))
@@ -605,10 +615,12 @@ class TestSpotIndependence:
         mate_V = np.stack([build_correlation(CorrelationSpec("ar1", rho=r), n)
                            for r in rng.uniform(-0.9, 0.9, 2 * width)])
         z = rng.standard_normal(n) * 3.0 + shared[:, 0]
-        Vz = build_correlation(CorrelationSpec("comp_symm", rho=0.3, groups=np.arange(n) % 4), n)
+        Vz = self.own_V()
         alone = self.fit(case, X, w, z[:, None], Vz[None], 0)
-        if case == "explicit_per_spot":
+        if case.startswith("explicit"):
             V = Vz
+        elif case == "none":
+            V = np.eye(n)
         elif case == "ar1_fixed":
             V = build_correlation(CorrelationSpec("ar1", rho=0.4), n)
         else:  # the spot's own rho estimate, from the oracle of the spot rule
